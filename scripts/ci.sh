@@ -36,21 +36,12 @@ echo "=== [release] lockstep conformance grid ==="
 
 run_suite asan "" -DCMAKE_BUILD_TYPE=Debug -DZENITH_SANITIZE=address
 # TSan is restricted to the suites that actually spawn threads (the
-# ParallelRunner pool and the simulator slab it drives): everything else is
-# single-threaded by design and already covered above. lockstep_test rides
-# along because its oracle re-runs chaos campaigns end to end.
+# ParallelRunner pool and the simulator slab it drives): everything else,
+# the controller included, is single-threaded by design and already covered
+# above. lockstep_test rides along because its oracle re-runs chaos
+# campaigns end to end.
 run_suite tsan 'parallel_test|sim_test|chaos_test|lockstep_test' \
   -DCMAKE_BUILD_TYPE=Debug -DZENITH_SANITIZE=thread
-
-# Sharded hot-path tier (PR 8): the lock-free stage queues' threaded stress
-# cases and the sharded NIB pipeline — including the commit-thread-pool
-# byte-equivalence case and a chaos soak with a real executor — re-run
-# under TSan with a bumped OP budget. This is where the SPSC/MPSC memory-
-# order arguments and the parallel-commit disjointness are machine-checked.
-echo "=== [sharded] queue stress + sharded soak under TSan (ZENITH_SOAK_OPS=20000) ==="
-ZENITH_SOAK_OPS=20000 \
-  ctest --test-dir "$repo/build-ci-tsan" --output-on-failure \
-  -R 'queue_test|sharded_nib_test'
 
 # Replication tier: the replicated control plane's own suites (unit protocol
 # tests, the seeded kill-leader/partition chaos grid, exactly-once takeover)
@@ -78,13 +69,9 @@ GTEST_FILTER='ShardedFingerprintSet.*' \
 # Consistency tier (PR 10): the adaptive-consistency suite — NIB eventual-
 # log units, the E1/E2 model-checker cells, the eventual chaos grid under
 # the lockstep oracle, and the deliberate-defect (skipped-barrier) negative
-# tests — runs in Release and again under TSan: eventual commits cross the
-# CommitPump/monitoring threads in the sharded build, exactly where a torn
-# log cursor would corrupt the staleness bound silently.
+# tests. The suite spawns no threads, so it runs in Release only.
 echo "=== [consistency] ctest -L consistency (Release) ==="
 ctest --test-dir "$repo/build-ci-release" --output-on-failure -L consistency
-echo "=== [consistency] ctest -L consistency (TSan) ==="
-ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -L consistency
 
 # Wire tier: the binary codec's adversarial suite re-runs under ASan+UBSan
 # (where "rejects cleanly" means no overflow, no over-read, no giant

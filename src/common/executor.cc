@@ -4,7 +4,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace zenith {
 
@@ -56,80 +60,6 @@ void parallel_for(std::size_t n, std::size_t threads,
   for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-PersistentExecutor::PersistentExecutor(std::size_t threads) {
-  std::size_t count = std::max<std::size_t>(1, threads);
-  workers_.reserve(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-PersistentExecutor::~PersistentExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void PersistentExecutor::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      job = job_;
-    }
-    drain(*job);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--active_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void PersistentExecutor::drain(const std::function<void(std::size_t)>& body) {
-  const std::size_t n = job_size_;
-  for (;;) {
-    std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    try {
-      body(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-  }
-}
-
-void PersistentExecutor::run(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &body;
-    job_size_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    active_ = workers_.size();
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  drain(body);  // the caller's thread pitches in
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return active_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 }  // namespace zenith

@@ -1,19 +1,12 @@
 // The CommitPump (PR 8, sharded mode only): applies per-shard ACK-commit
-// jobs as parallel NIB transactions.
+// jobs as batched NIB transactions.
 //
 // Each service step drains EVERY CommitJob queued at step time from the
-// per-shard MPSC stage queues and applies each shard's jobs in FIFO order
-// inside one NIB parallel-commit section: serially in ascending shard order
-// when commit_threads <= 1, or one lane per shard fanned over a persistent
-// thread pool otherwise. Draining the backlog under a single service charge
-// is the same amortization commit_ack_batch models for a batch-ACK — the
-// pump is one batched NIB transaction per shard per step, which is what
-// keeps the ACK-commit stage off the critical path at high load. The serial
-// and pooled applications are byte-identical by construction — shards own
-// disjoint NIB slices, within a shard jobs apply in queue order, and the
-// events produced inside the section are replayed in ascending shard order
-// (FIFO within each shard) either way (sharded_nib_test asserts it; the CI
-// TSan soak exercises the pool).
+// per-shard commit queues and applies them in ascending shard order, FIFO
+// within each shard. Draining the backlog under a single service charge is
+// the same amortization commit_ack_batch models for a batch-ACK — the pump
+// is one batched NIB transaction per shard per step, which is what keeps
+// the ACK-commit stage off the critical path at high load.
 //
 // Stale filtering: between the Monitoring Server enqueuing a job and the
 // pump applying it, a takeover can requeue the op (SENT -> SCHEDULED) or a
@@ -24,11 +17,8 @@
 // SENT OPs regenerates the lost ACK work exactly once.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "common/executor.h"
 #include "core/component.h"
 #include "core/context.h"
 
@@ -42,25 +32,10 @@ class CommitPump : public Component {
   bool try_step() override;
 
  private:
-  /// One applied batch-ACK: the job's switch plus the ops that survived the
-  /// freshness filter. Kept (pre-sized, reused) so the observability pass
-  /// after the parallel section can attribute per-op stage records without
-  /// the committing threads touching shared sinks.
-  struct AppliedBatch {
-    SwitchId sw = SwitchId::invalid();
-    std::size_t committed = 0;
-    std::size_t stale = 0;
-    std::vector<Op> fresh;
-  };
+  void apply(const CommitJob& job);
 
   CoreContext* ctx_;
-  std::unique_ptr<PersistentExecutor> executor_;  // null when serial
-  // Per-shard scratch, reused across steps. applied_[s] grows to the
-  // high-water job count; applied_used_[s] is how many entries this step
-  // filled.
-  std::vector<std::vector<CommitJob>> jobs_;
-  std::vector<std::vector<AppliedBatch>> applied_;
-  std::vector<std::size_t> applied_used_;
+  std::vector<Op> fresh_;  // scratch, reused across jobs
 };
 
 }  // namespace zenith

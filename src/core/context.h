@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/mpsc_queue.h"
-#include "common/spsc_ring.h"
 #include "core/arena.h"
 #include "dag/compiler.h"
 #include "dag/dag.h"
@@ -126,10 +124,10 @@ struct CoreConfig {
   /// single-pipeline wiring byte-identical: one NIB Event Handler draining
   /// the subscribe()-queue, one Monitoring Server on the transport streams,
   /// ACKs committed inline. >= 2 partitions the NIB by switch into that
-  /// many shards, each with its own SPSC event ring + NIB Event Handler +
+  /// many shards, each with its own event queue + NIB Event Handler +
   /// Monitoring Server instance, a Reply Router demuxing the transport
   /// streams per shard, and a CommitPump applying per-shard ACK-commit jobs
-  /// from lock-free MPSC stage queues. Simulated-time throughput scales
+  /// from per-shard commit queues. Simulated-time throughput scales
   /// with the shard count because the per-shard service steps overlap in
   /// sim time; final NIB state is fingerprint-equal to the unsharded run
   /// on chaos-free workloads (sharded_nib_test, bench_soak's equivalence
@@ -152,12 +150,6 @@ struct CoreConfig {
   /// Charging the full 20us again would double-count the commit work the
   /// pump already pays for.
   SimTime monitoring_forward_service = micros(10);
-  /// Sharded mode: OS threads applying commit jobs inside a CommitPump
-  /// step. 0/1 = apply serially in ascending shard order on the simulator
-  /// thread; >= 2 = apply concurrently on a persistent pool. Byte-identical
-  /// either way (shards are disjoint and events replay in shard order —
-  /// asserted by sharded_nib_test, exercised under TSan in CI).
-  std::size_t commit_threads = 0;
   bool sharded() const { return nib_shards >= 2; }
   /// Adaptive per-OP-class consistency (PR 10; see nib/consistency.h). The
   /// default (all-strong) is byte-identical to the pre-knob pipeline:
@@ -184,7 +176,7 @@ struct OpBatch {
 
 /// One ACK-commit unit of the sharded pipeline: the acked install/delete
 /// OPs of one switch, flowing from that shard's Monitoring Server instance
-/// through the shard's MPSC queue to the CommitPump.
+/// through the shard's commit queue to the CommitPump.
 struct CommitJob {
   SwitchId sw;
   std::vector<Op> ops;
@@ -221,10 +213,10 @@ struct CoreContext {
   std::vector<std::unique_ptr<NadirFifo<NibEvent>>> sequencer_wakeups;
 
   // -- sharded hot path (PR 8; empty when config.nib_shards <= 1) --------------
-  /// Per-shard NIB event rings (NIB-resident, like nib_event_queue: they
-  /// survive DE crashes). Lock-free SPSC: NIB publishes, the shard's NIB
-  /// Event Handler drains.
-  std::vector<std::unique_ptr<SpscRing<NibEvent>>> shard_event_rings;
+  /// Per-shard NIB event queues (NIB-resident, like nib_event_queue: they
+  /// survive DE crashes). The NIB publishes, the shard's NIB Event Handler
+  /// drains.
+  std::vector<std::unique_ptr<NadirFifo<NibEvent>>> shard_event_queues;
   /// Per-shard demuxed transport streams (OFC-volatile, like the transport
   /// queues they mirror): the Reply Router routes switch replies and health
   /// events to the owning shard's Monitoring Server instance. Link events
@@ -233,12 +225,8 @@ struct CoreContext {
   std::vector<std::unique_ptr<NadirFifo<SwitchHealthEvent>>> shard_health;
   std::vector<std::unique_ptr<NadirFifo<LinkHealthEvent>>> shard_links;
   /// Per-shard ACK-commit job queues into the CommitPump (OFC-volatile:
-  /// dropped on OFC crash, regenerated by the takeover requeue). Lock-free
-  /// MPSC — single-threaded in the simulator, stress-tested concurrently
-  /// in queue_test.
-  std::vector<std::unique_ptr<MpscQueue<CommitJob>>> commit_queues;
-  /// Wakes the CommitPump (set by the controller in sharded mode).
-  std::function<void()> kick_commit_pump;
+  /// dropped on OFC crash, regenerated by the takeover requeue).
+  std::vector<std::unique_ptr<NadirFifo<CommitJob>>> commit_queues;
   /// Recycled OpBatch id buffers (all modes; steady state allocates zero
   /// vectors per batch).
   OpBatchArena batch_arena;

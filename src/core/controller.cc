@@ -45,16 +45,18 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
   if (config.sharded()) {
     // Sharded wiring (PR 8): the NIB partitions its OP rows and secondary
     // indexes by switch shard and publishes each shard's events onto a
-    // dedicated SPSC ring instead of the single nib_event_queue.
+    // dedicated queue instead of the single nib_event_queue.
     nib_.configure_sharding(config.nib_shards);
     for (std::size_t s = 0; s < config.nib_shards; ++s) {
-      ctx_.shard_event_rings.push_back(std::make_unique<SpscRing<NibEvent>>());
+      ctx_.shard_event_queues.push_back(
+          std::make_unique<NadirFifo<NibEvent>>());
+      nib_.set_shard_queue(s, ctx_.shard_event_queues[s].get());
       ctx_.shard_replies.push_back(std::make_unique<NadirFifo<SwitchReply>>());
       ctx_.shard_health.push_back(
           std::make_unique<NadirFifo<SwitchHealthEvent>>());
       ctx_.shard_links.push_back(
           std::make_unique<NadirFifo<LinkHealthEvent>>());
-      ctx_.commit_queues.push_back(std::make_unique<MpscQueue<CommitJob>>());
+      ctx_.commit_queues.push_back(std::make_unique<NadirFifo<CommitJob>>());
     }
   } else {
     nib_.subscribe(&ctx_.nib_event_queue);
@@ -66,11 +68,8 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
   }
   if (config.sharded()) {
     for (std::size_t s = 0; s < config.nib_shards; ++s) {
-      auto handler = std::make_unique<NibEventHandler>(&ctx_, s);
-      NibEventHandler* h = handler.get();
-      nib_.set_shard_ring(s, ctx_.shard_event_rings[s].get(),
-                          [h] { h->kick(); });
-      nib_event_handlers_.push_back(std::move(handler));
+      nib_event_handlers_.push_back(
+          std::make_unique<NibEventHandler>(&ctx_, s));
     }
   } else {
     nib_event_handler_ = std::make_unique<NibEventHandler>(&ctx_);
@@ -82,7 +81,6 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
       monitors_.push_back(std::make_unique<MonitoringServer>(&ctx_, s));
     }
     commit_pump_ = std::make_unique<CommitPump>(&ctx_);
-    ctx_.kick_commit_pump = [this] { commit_pump_->kick(); };
   } else {
     monitoring_ = std::make_unique<MonitoringServer>(&ctx_);
   }
@@ -258,7 +256,7 @@ void ZenithController::crash_ofc() {
   // The demuxed per-shard queues and the ACK-commit jobs are just as
   // volatile as the instance's sockets — an ACK parked in either belongs to
   // the dead instance, and the takeover requeue regenerates that work. The
-  // per-shard NIB-event rings are NOT cleared: they mirror nib_event_queue,
+  // per-shard NIB-event queues are NOT cleared: they mirror nib_event_queue,
   // which is NIB-resident state and survives instance failures.
   for (auto& q : ctx_.shard_replies) q->clear();
   for (auto& q : ctx_.shard_health) q->clear();
@@ -370,7 +368,7 @@ void ZenithController::crash_de() {
     c->crash();
     c->set_held(true);
   }
-  // The per-shard NIB-event rings, like nib_event_queue itself, are
+  // The per-shard NIB-event queues, like nib_event_queue itself, are
   // NIB-resident and survive the DE instance — the revived handlers resume
   // draining them.
   for (auto& wakeup : ctx_.sequencer_wakeups) wakeup->clear();

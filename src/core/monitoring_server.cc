@@ -129,7 +129,6 @@ bool MonitoringServer::process_reply() {
         // ClearTcam/dump replies stay inline — they drive the recovery
         // state machine and are rare.
         ctx_->commit_queues[shard_]->push(CommitJob{reply.sw, {op}});
-        if (ctx_->kick_commit_pump) ctx_->kick_commit_pump();
         break;
       }
       // Everything reaching the inline path in eventual mode is
@@ -226,7 +225,6 @@ bool MonitoringServer::process_reply() {
       if (shard_ != kUnsharded) {
         if (!known.empty()) {
           ctx_->commit_queues[shard_]->push(CommitJob{reply.sw, std::move(known)});
-          if (ctx_->kick_commit_pump) ctx_->kick_commit_pump();
         }
         break;
       }

@@ -15,10 +15,10 @@
 // Sharded mode (PR 8): one instance per NIB shard ("monitoring<shard>")
 // consumes the per-shard queues the Reply Router demuxes from the transport
 // streams, and the install/delete ACK commit becomes a CommitJob pushed to
-// the shard's MPSC queue — the CommitPump applies jobs of distinct shards
-// in parallel and performs the NIB transaction + op-closed observability
-// there. Everything else (orphan filtering, repl routing, CLEAR_TCAM inline
-// commit, dump/role forwarding) is unchanged.
+// the shard's commit queue — the CommitPump applies the jobs and performs
+// the NIB transaction + op-closed observability there. Everything else
+// (orphan filtering, repl routing, CLEAR_TCAM inline commit, dump/role
+// forwarding) is unchanged.
 #pragma once
 
 #include <cstddef>

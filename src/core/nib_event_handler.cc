@@ -33,7 +33,9 @@ NibEventHandler::NibEventHandler(CoreContext* ctx, std::size_t shard)
     : Component(ctx->sim, "nib_event_handler" + std::to_string(shard),
                 ctx->config.nib_event_service),
       ctx_(ctx),
-      shard_(shard) {}
+      shard_(shard) {
+  ctx_->shard_event_queues[shard]->set_wake_callback([this] { kick(); });
+}
 
 void NibEventHandler::register_app_sink(NadirFifo<NibEvent>* sink) {
   app_sinks_.push_back(sink);
@@ -41,19 +43,19 @@ void NibEventHandler::register_app_sink(NadirFifo<NibEvent>* sink) {
 
 bool NibEventHandler::try_step() {
   if (shard_ != kUnsharded) {
-    SpscRing<NibEvent>& ring = *ctx_->shard_event_rings[shard_];
+    NadirFifo<NibEvent>& queue = *ctx_->shard_event_queues[shard_];
     const std::size_t budget =
         std::max<std::size_t>(1, ctx_->config.nib_event_batch);
     bool did_work = false;
-    for (std::size_t i = 0; i < budget; ++i) {
-      std::optional<NibEvent> event = ring.try_pop();
-      if (!event.has_value()) break;
+    for (std::size_t i = 0; i < budget && !queue.empty(); ++i) {
+      const NibEvent& event = queue.peek();
       did_work = true;
       if (ctx_->observability != nullptr) {
         ctx_->observability->count("nib_events_routed",
-                                   {{"type", nib_event_name(event->type)}});
+                                   {{"type", nib_event_name(event.type)}});
       }
-      route_sharded(*event);
+      route_sharded(event);
+      queue.ack_pop();
     }
     return did_work;
   }

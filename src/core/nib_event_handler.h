@@ -7,8 +7,8 @@
 // hints and re-derive truth from the NIB, so losing the volatile wake
 // queues on a DE failure is harmless — the restart rescan covers it.
 //
-// Sharded (PR 8): one instance per NIB shard drains that shard's lock-free
-// SPSC ring, up to nib_event_batch events per service step, and routes
+// Sharded (PR 8): one instance per NIB shard drains that shard's event
+// queue, up to nib_event_batch events per service step, and routes
 // selectively — scheduling-relevant events (commits, resets, health, DAG
 // admission) wake the sequencer that owns the affected DAG instead of
 // broadcasting every status blip to every sequencer. The unsharded profile
@@ -31,15 +31,14 @@ class NibEventHandler : public Component {
   /// Classic single instance draining ctx->nib_event_queue.
   explicit NibEventHandler(CoreContext* ctx);
   /// Sharded instance ("nib_event_handler<shard>") draining
-  /// ctx->shard_event_rings[shard]. The NIB's ring wake hook must be wired
-  /// to kick() by the controller.
+  /// ctx->shard_event_queues[shard].
   NibEventHandler(CoreContext* ctx, std::size_t shard);
 
   /// Registers an application's event sink; the app sees switch-health and
   /// DAG lifecycle events (§3.6: "the controller correctly notifies
   /// applications of data plane events"). In sharded mode the controller
   /// registers the sink with every instance; each event still reaches the
-  /// sink exactly once because each event lives in exactly one ring.
+  /// sink exactly once because each event lives in exactly one queue.
   void register_app_sink(NadirFifo<NibEvent>* sink);
 
  protected:

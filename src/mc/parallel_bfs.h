@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 

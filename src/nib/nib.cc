@@ -21,81 +21,33 @@ void Nib::configure_sharding(std::size_t shards) {
          "configure_sharding on a populated NIB");
   shards_ = std::max<std::size_t>(1, shards);
   by_status_.assign(shards_, StatusIndex{});
-  write_counts_.assign(shards_, PaddedCounter{});
 }
 
-void Nib::set_shard_ring(std::size_t shard, SpscRing<NibEvent>* ring,
-                         std::function<void()> wake) {
+void Nib::set_shard_queue(std::size_t shard, EventSink queue) {
   assert(shard < shards_);
-  if (shard_io_.size() < shards_) shard_io_.resize(shards_);
-  shard_io_[shard].ring = ring;
-  shard_io_[shard].wake = std::move(wake);
-}
-
-void Nib::begin_parallel_commits() {
-  assert(!parallel_section_);
-  parallel_section_ = true;
-}
-
-void Nib::end_parallel_commits() {
-  assert(parallel_section_);
-  parallel_section_ = false;
-  // Replay deferred events in ascending shard order: rings, classic sinks,
-  // wakes — byte-identical to a serial shard-order application.
-  for (std::size_t s = 0; s < shard_io_.size(); ++s) {
-    ShardIo& io = shard_io_[s];
-    for (const NibEvent& event : io.deferred) publish_to_shard(s, event);
-    io.deferred.clear();
-  }
-}
-
-void Nib::publish_to_shard(std::size_t shard, const NibEvent& event) {
-  ShardIo& io = shard_io_[shard];
-  if (parallel_section_) {
-    // Captured by the shard's own committing thread; replayed at
-    // end_parallel_commits() on the simulator thread.
-    io.deferred.push_back(event);
-    return;
-  }
-  const bool was_empty = io.ring->empty();
-  if (!io.ring->try_push(event)) {
-    io.ring->grow();  // simulator thread: producer == consumer, safe
-    bool pushed = io.ring->try_push(event);
-    assert(pushed && "SPSC ring full right after grow()");
-    (void)pushed;
-  }
-  for (EventSink sink : sinks_) sink->push(event);
-  if (was_empty && io.wake) io.wake();
+  if (shard_queues_.size() < shards_) shard_queues_.resize(shards_, nullptr);
+  shard_queues_[shard] = queue;
 }
 
 void Nib::publish(const NibEvent& event) {
-  if (!shard_io_.empty()) {
-    std::size_t shard = 0;
-    switch (event.type) {
-      case NibEvent::Type::kOpStatusChanged:
-      case NibEvent::Type::kSwitchHealthChanged:
-        shard = shard_of(event.sw);
-        break;
-      default:
-        break;  // non-switch-keyed events route to shard 0
-    }
-    publish_to_shard(shard, event);
-    return;
-  }
   for (EventSink sink : sinks_) sink->push(event);
+  if (shard_queues_.empty()) return;
+  std::size_t shard = 0;
+  switch (event.type) {
+    case NibEvent::Type::kOpStatusChanged:
+    case NibEvent::Type::kSwitchHealthChanged:
+      shard = shard_of(event.sw);
+      break;
+    default:
+      break;  // non-switch-keyed events route to shard 0
+  }
+  shard_queues_[shard]->push(event);
 }
 
 void Nib::index_insert(OpId id, SwitchId sw, OpStatus status) {
   auto slot = static_cast<std::size_t>(status);
   by_status_[shard_of(sw)][slot].insert(id);
-  auto it = by_switch_status_.find(sw);
-  if (it == by_switch_status_.end()) {
-    // First OP for this switch. Only reachable from the simulator thread
-    // (put_op / preload precede any commit), so the rehash is safe.
-    assert(!parallel_section_);
-    it = by_switch_status_.emplace(sw, StatusIndex{}).first;
-  }
-  it->second[slot].insert(id);
+  by_switch_status_[sw][slot].insert(id);
 }
 
 void Nib::index_erase(OpId id, SwitchId sw, OpStatus status) {
@@ -107,12 +59,11 @@ void Nib::index_erase(OpId id, SwitchId sw, OpStatus status) {
 
 void Nib::put_op(const Op& op) {
   assert(op.id.valid());
-  assert(!parallel_section_);
   auto [it, inserted] = ops_.emplace(op.id, op);
   if (inserted) {
     op_status_[op.id] = OpStatus::kNone;
     index_insert(op.id, op.sw, OpStatus::kNone);
-    ++write_counts_[shard_of(op.sw)].value;
+    ++write_count_;
   } else {
     assert(it->second == op && "op id reused with different payload");
   }
@@ -125,9 +76,8 @@ OpStatus Nib::op_status(OpId id) const {
 
 void Nib::set_op_status(OpId id, OpStatus status) {
   assert(ops_.count(id) && "status write for unregistered op");
-  assert(!parallel_section_ && "per-op status writes are simulator-thread only");
   OpStatus& slot = op_status_[id];
-  ++write_counts_[shard_of(ops_.at(id).sw)].value;
+  ++write_count_;
   if (slot == status) return;
   SwitchId sw = ops_.at(id).sw;
   index_erase(id, sw, slot);
@@ -158,13 +108,12 @@ std::vector<OpId> Nib::ops_on_switch(SwitchId sw, StatusMask filter) const {
 }
 
 void Nib::preload_op(const Op& op, OpStatus status, bool in_view) {
-  assert(!parallel_section_);
   auto [it, inserted] = ops_.emplace(op.id, op);
   if (!inserted) index_erase(op.id, it->second.sw, op_status_[op.id]);
   op_status_[op.id] = status;
   index_insert(op.id, it->second.sw, status);
   if (in_view) view_[op.sw].insert(op.id);
-  ++write_counts_[shard_of(op.sw)].value;
+  ++write_count_;
 }
 
 std::size_t Nib::commit_ack_batch(SwitchId sw, const std::vector<Op>& ops) {
@@ -174,12 +123,6 @@ std::size_t Nib::commit_ack_batch(SwitchId sw, const std::vector<Op>& ops) {
   // -> Sequencer wakeups) one service step instead of sixteen. Without this
   // the per-OP kOpStatusChanged stream re-serializes exactly the traffic
   // batching removed from the Monitoring Server.
-  // Thread note: inside a parallel commit section this runs on a pool
-  // thread, one call per shard, each touching only its own shard's rows.
-  // Map *topology* is never mutated here — every key pre-exists (put_op /
-  // register_switch happen on the simulator thread before any ACK), so the
-  // find()-based lookups below are rehash-free and the per-value writes are
-  // disjoint across shards.
   std::size_t committed = 0;
   NibEvent event;
   event.type = NibEvent::Type::kOpStatusChanged;
@@ -187,7 +130,7 @@ std::size_t Nib::commit_ack_batch(SwitchId sw, const std::vector<Op>& ops) {
   event.sw = sw;
   for (const Op& op : ops) {
     if (!ops_.count(op.id)) continue;  // orphan element; the caller counts it
-    ++write_counts_[shard_of(sw)].value;
+    ++write_count_;
     OpStatus& slot = op_status_.find(op.id)->second;
     if (slot != OpStatus::kDone) {
       index_erase(op.id, sw, slot);
@@ -215,8 +158,6 @@ std::size_t Nib::commit_ack_batch(SwitchId sw, const std::vector<Op>& ops) {
 }
 
 std::size_t Nib::eventual_commit_batch(SwitchId sw, std::vector<Op> ops) {
-  assert(!parallel_section_ &&
-         "eventual commits are simulator-thread only (cheap append)");
   assert(consistency_.eventual_installs &&
          "eventual commit with the knob off");
   for (const Op& op : ops) {
@@ -241,7 +182,6 @@ std::size_t Nib::eventual_commit_batch(SwitchId sw, std::vector<Op> ops) {
 }
 
 std::size_t Nib::apply_eventual(std::size_t limit) {
-  assert(!parallel_section_);
   std::size_t applied = 0;
   while (!eventual_log_.empty() && (limit == 0 || applied < limit)) {
     EventualEntry entry = std::move(eventual_log_.front());
@@ -291,12 +231,11 @@ std::vector<OpId> Nib::ops_with_status(OpStatus status) const {
 }
 
 void Nib::register_switch(SwitchId sw) {
-  assert(!parallel_section_);
   if (switch_health_.emplace(sw, SwitchHealth::kUp).second) {
     switches_cache_stale_ = true;
   }
   view_.emplace(sw, std::unordered_set<OpId>{});
-  ++write_counts_[shard_of(sw)].value;
+  ++write_count_;
 }
 
 SwitchHealth Nib::switch_health(SwitchId sw) const {
@@ -308,8 +247,7 @@ SwitchHealth Nib::switch_health(SwitchId sw) const {
 void Nib::set_switch_health(SwitchId sw, SwitchHealth health) {
   auto it = switch_health_.find(sw);
   assert(it != switch_health_.end() && "unregistered switch");
-  assert(!parallel_section_);
-  ++write_counts_[shard_of(sw)].value;
+  ++write_count_;
   if (it->second == health) return;
   bool was_up = it->second == SwitchHealth::kUp;
   it->second = health;
@@ -324,8 +262,7 @@ void Nib::set_switch_health(SwitchId sw, SwitchHealth health) {
 }
 
 void Nib::set_link_up(LinkId link, bool up) {
-  assert(!parallel_section_);
-  ++write_counts_[0].value;
+  ++write_count_;
   bool was_up = !down_links_.count(link);
   if (was_up == up) return;
   if (up) {
@@ -352,17 +289,8 @@ const std::vector<SwitchId>& Nib::switches() const {
 }
 
 void Nib::view_add_installed(SwitchId sw, OpId op) {
-  // find() rather than operator[]: commits mutate the view from pool
-  // threads, where inserting a new key (rehash) would race. The key always
-  // pre-exists by then (register_switch runs first, on the simulator
-  // thread); a missing key is only legal outside parallel sections.
-  auto it = view_.find(sw);
-  if (it == view_.end()) {
-    assert(!parallel_section_);
-    it = view_.emplace(sw, std::unordered_set<OpId>{}).first;
-  }
-  it->second.insert(op);
-  ++write_counts_[shard_of(sw)].value;
+  view_[sw].insert(op);
+  ++write_count_;
 }
 
 void Nib::view_remove_installed(SwitchId sw, OpId op) {
@@ -375,16 +303,15 @@ void Nib::view_remove_installed(SwitchId sw, OpId op) {
   if (!eventual_log_.empty()) ++strong_commits_with_pending_;
   auto it = view_.find(sw);
   if (it != view_.end()) it->second.erase(op);
-  ++write_counts_[shard_of(sw)].value;
+  ++write_count_;
 }
 
 void Nib::view_clear_switch(SwitchId sw) {
-  assert(!parallel_section_);
   // CLEAR_TCAM recovery is strong-class too (same E2 rule as above).
   if (!eventual_log_.empty()) ++strong_commits_with_pending_;
   auto it = view_.find(sw);
   if (it != view_.end()) it->second.clear();
-  ++write_counts_[shard_of(sw)].value;
+  ++write_count_;
 }
 
 const std::unordered_set<OpId>& Nib::view_installed(SwitchId sw) const {
@@ -397,12 +324,12 @@ void Nib::put_dag(Dag dag) {
   assert(id.valid());
   for (const Op* op : dag.all_ops()) put_op(*op);
   dags_[id] = std::move(dag);
-  ++write_counts_[0].value;
+  ++write_count_;
 }
 
 void Nib::remove_dag(DagId id) {
   dags_.erase(id);
-  ++write_counts_[0].value;
+  ++write_count_;
   if (current_dag_ == id) current_dag_.reset();
 }
 
@@ -415,12 +342,12 @@ void Nib::publish_dag_done(DagId id) {
 
 void Nib::mark_dag_done(DagId id) {
   done_dags_.insert(id);
-  ++write_counts_[0].value;
+  ++write_count_;
 }
 
 void Nib::clear_dag_done(DagId id) {
   done_dags_.erase(id);
-  ++write_counts_[0].value;
+  ++write_count_;
 }
 
 void Nib::publish_dag_accepted(DagId id) {
@@ -431,8 +358,7 @@ void Nib::publish_dag_accepted(DagId id) {
 }
 
 void Nib::set_worker_state(WorkerId worker, std::optional<OpId> op) {
-  assert(!parallel_section_);
-  ++write_counts_[0].value;
+  ++write_count_;
   if (op.has_value()) {
     // §B safety: "no two workers can work on the same task at the same
     // time". Consistent sharding makes this structural; the NIB asserts it
@@ -530,12 +456,6 @@ std::uint64_t Nib::state_fingerprint() const {
   return h;
 }
 
-std::uint64_t Nib::write_count() const {
-  std::uint64_t total = 0;
-  for (const PaddedCounter& c : write_counts_) total += c.value;
-  return total;
-}
-
 std::uint64_t Nib::shard_fingerprint(std::size_t shard,
                                      std::size_t shards) const {
   std::uint64_t h = 14695981039346656037ull;
@@ -575,7 +495,7 @@ std::uint64_t Nib::shard_fingerprint(std::size_t shard,
 
   if (shard == 0) {
     // Shard 0 additionally owns the non-switch-keyed state, mirroring the
-    // event-routing rule (non-switch events go to shard 0's ring).
+    // event-routing rule (non-switch events go to shard 0's queue).
     mix(0x4c4e4b53u);
     std::vector<LinkId> links(down_links_.begin(), down_links_.end());
     std::sort(links.begin(), links.end());

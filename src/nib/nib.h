@@ -28,7 +28,6 @@
 
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/spsc_ring.h"
 #include "dag/dag.h"
 #include "nib/consistency.h"
 #include "nib/events.h"
@@ -54,10 +53,10 @@ class Nib {
   // ---- sharding (PR 8) -----------------------------------------------------
   //
   // The NIB partitions its hot mutable state by switch: each shard owns the
-  // secondary status indexes of its switches, a padded write counter, and a
-  // lock-free SPSC event ring into that shard's NIB Event Handler. shards
-  // <= 1 (the default) keeps the unsharded single-index layout and the
-  // classic subscribe()-queue event path byte-identical.
+  // secondary status indexes of its switches and an event queue into that
+  // shard's NIB Event Handler. shards <= 1 (the default) keeps the unsharded
+  // single-index layout and the classic subscribe()-queue event path
+  // byte-identical.
 
   /// The canonical switch -> shard map: the same stable splitmix64 mix the
   /// worker pool uses (CoreContext::shard_of), so ownership is a pure
@@ -77,32 +76,19 @@ class Nib {
     return static_cast<std::size_t>(x % shards);
   }
 
-  /// Splits the indexes/counters into `shards` partitions. Must be called
-  /// before any state is registered (fresh NIB only).
+  /// Splits the indexes into `shards` partitions. Must be called before any
+  /// state is registered (fresh NIB only).
   void configure_sharding(std::size_t shards);
   std::size_t shard_count() const { return shards_; }
   std::size_t shard_of(SwitchId sw) const { return shard_slot(sw, shards_); }
 
-  /// Attaches shard `shard`'s event ring and wake hook. Once any ring is
-  /// attached, publish() routes switch-keyed events (kOpStatusChanged,
-  /// kSwitchHealthChanged) to the owning shard's ring and everything else
+  /// Attaches shard `shard`'s event queue. Once any queue is attached,
+  /// publish() routes switch-keyed events (kOpStatusChanged,
+  /// kSwitchHealthChanged) to the owning shard's queue and everything else
   /// to shard 0's — while still fanning every event out to the classic
-  /// subscribe() sinks (the chaos oracle's hidden-probe tap). `wake` fires
-  /// on every empty -> non-empty ring transition, on the simulator thread.
-  void set_shard_ring(std::size_t shard, SpscRing<NibEvent>* ring,
-                      std::function<void()> wake);
-
-  /// Opens a parallel commit section: until end_parallel_commits() the ONLY
-  /// legal mutations are commit_ack_batch calls, one serial lane per shard
-  /// (a lane may apply many batches, in order), each touching only its own
-  /// shard's switches. Events produced inside the section are captured per
-  /// shard and replayed — rings, sinks and wakes — in ascending shard order
-  /// (FIFO within each shard) at end_parallel_commits(), so a pool-parallel
-  /// section is byte-identical to applying the same commits serially in
-  /// shard order. Caller: the CommitPump, inside one atomic simulator step
-  /// (no other component runs concurrently).
-  void begin_parallel_commits();
-  void end_parallel_commits();
+  /// subscribe() sinks (the chaos oracle's hidden-probe tap), ahead of the
+  /// shard queue's own wake.
+  void set_shard_queue(std::size_t shard, EventSink queue);
 
   // ---- OP table ------------------------------------------------------------
 
@@ -156,7 +142,7 @@ class Nib {
   /// eventual apply log. If the append would push the pending count past
   /// the staleness bound, the oldest entries are applied inline first (E1
   /// holds structurally at every instant). Returns the number of ops
-  /// recorded. Simulator-thread only (never inside a parallel section).
+  /// recorded.
   std::size_t eventual_commit_batch(SwitchId sw, std::vector<Op> ops);
 
   /// Advances the apply cursor by up to `limit` entries (0 = drain all).
@@ -251,10 +237,8 @@ class Nib {
 
   /// Number of NIB writes performed; reconciliation's NIB-update bottleneck
   /// (Figure 4b) is modeled by charging simulated time per write in the PR
-  /// reconciler, and tests use the counter to verify write volumes. Stored
-  /// as one cache-line-padded counter per shard (parallel commit sections
-  /// bump them concurrently); the total is the sum.
-  std::uint64_t write_count() const;
+  /// reconciler, and tests use the counter to verify write volumes.
+  std::uint64_t write_count() const { return write_count_; }
 
   // ---- state fingerprint -----------------------------------------------------
 
@@ -286,24 +270,7 @@ class Nib {
   /// PR deadlock scans) are O(result) lookups instead of full-table scans.
   using StatusIndex = std::array<std::set<OpId>, kNumOpStatuses>;
 
-  /// Padded so concurrent per-shard increments in a parallel commit section
-  /// don't false-share one cache line.
-  struct alignas(64) PaddedCounter {
-    std::uint64_t value = 0;
-  };
-
-  /// Per-shard event plumbing (empty vector until set_shard_ring is called).
-  struct ShardIo {
-    SpscRing<NibEvent>* ring = nullptr;
-    std::function<void()> wake;
-    /// Events produced inside a parallel commit section, replayed in shard
-    /// order at end_parallel_commits(). Only the shard's own committing
-    /// thread appends, so no locking is needed.
-    std::vector<NibEvent> deferred;
-  };
-
   void publish(const NibEvent& event);
-  void publish_to_shard(std::size_t shard, const NibEvent& event);
   void index_insert(OpId id, SwitchId sw, OpStatus status);
   void index_erase(OpId id, SwitchId sw, OpStatus status);
 
@@ -338,9 +305,9 @@ class Nib {
   std::uint64_t eventual_barriers_ = 0;
   std::uint64_t strong_commits_with_pending_ = 0;
   std::size_t shards_ = 1;
-  std::vector<ShardIo> shard_io_;
-  bool parallel_section_ = false;
-  std::vector<PaddedCounter> write_counts_ = std::vector<PaddedCounter>(1);
+  /// Per-shard event queues (empty until set_shard_queue is called).
+  std::vector<EventSink> shard_queues_;
+  std::uint64_t write_count_ = 0;
 
   static const std::unordered_set<OpId> kEmptyView;
 };

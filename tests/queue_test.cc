@@ -1,202 +1,65 @@
-// The lock-free stage queues of the sharded hot path (PR 8): SpscRing (the
-// per-shard NIB-event channel) and MpscQueue (the ACK-commit stage queue).
-// Single-thread semantics pin the FIFO/wraparound/grow contracts; the
-// threaded stress cases are the ones scripts/ci.sh re-runs under TSan — the
-// memory-order arguments in the headers are validated there, not by review.
+// NadirFifo, the one queue type every controller stage uses: the classic
+// NIB event queue, the per-shard NIB-event and commit queues of the sharded
+// hot path, OPQueueNIB and the transport streams.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
-#include <thread>
-#include <vector>
-
-#include "common/mpsc_queue.h"
-#include "common/spsc_ring.h"
+#include "sim/fifo.h"
 
 namespace zenith {
 namespace {
 
-TEST(SpscRing, SingleThreadFifoWithWraparound) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_TRUE(ring.empty());
-  // Push/pop interleaved far past the capacity so the cursors wrap.
+TEST(NadirFifoTest, FifoAcrossInterleavedPushPop) {
+  NadirFifo<int> fifo;
   int next_in = 0;
   int next_out = 0;
   for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(ring.try_push(next_in++));
-    EXPECT_TRUE(ring.try_push(next_in++));
-    auto out = ring.try_pop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, next_out++);
-    out = ring.try_pop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, next_out++);
+    fifo.push(next_in++);
+    fifo.push(next_in++);
+    fifo.push(next_in++);
+    EXPECT_EQ(fifo.pop(), next_out++);
+    EXPECT_EQ(fifo.pop(), next_out++);
   }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop().has_value());
+  EXPECT_EQ(fifo.size(), 100u);  // unbounded: no push is ever refused
+  while (!fifo.empty()) EXPECT_EQ(fifo.pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
-TEST(SpscRing, RejectsPushWhenFull) {
-  SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_FALSE(ring.try_push(99));
-  auto out = ring.try_pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, 0);
-  EXPECT_TRUE(ring.try_push(4));  // slot freed
+TEST(NadirFifoTest, WakeFiresOnEmptyToNonEmptyOnly) {
+  NadirFifo<int> fifo;
+  int wakes = 0;
+  fifo.set_wake_callback([&] { ++wakes; });
+  fifo.push(1);
+  fifo.push(2);
+  EXPECT_EQ(wakes, 1);
+  (void)fifo.pop();
+  (void)fifo.pop();
+  fifo.push(3);
+  EXPECT_EQ(wakes, 2);
 }
 
-TEST(SpscRing, GrowPreservesFifoOrderAcrossWrap) {
-  SpscRing<int> ring(4);
-  // Advance the cursors so the occupied window straddles the wrap point,
-  // then fill completely and grow.
-  ASSERT_TRUE(ring.try_push(-1));
-  ASSERT_TRUE(ring.try_push(-2));
-  ring.try_pop();
-  ring.try_pop();
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
-  ASSERT_FALSE(ring.try_push(4));
-  ring.grow();
-  EXPECT_EQ(ring.capacity(), 8u);
-  EXPECT_EQ(ring.size(), 4u);
-  ASSERT_TRUE(ring.try_push(4));
-  for (int want = 0; want <= 4; ++want) {
-    auto out = ring.try_pop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, want);
-  }
-  EXPECT_TRUE(ring.empty());
+TEST(NadirFifoTest, PeekAckPopDiscipline) {
+  NadirFifo<int> fifo;
+  fifo.push(1);
+  fifo.push(2);
+  EXPECT_EQ(fifo.peek(), 1);
+  EXPECT_EQ(fifo.peek(), 1);  // peek does not consume
+  fifo.ack_pop();
+  EXPECT_EQ(fifo.peek(), 2);
+  EXPECT_EQ(fifo.size(), 1u);
 }
 
-// The TSan-validated case: one real producer thread, one real consumer
-// thread, strict order and no loss across many wraparounds of a tiny ring.
-TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder) {
-  constexpr std::uint64_t kItems = 10'000;
-  SpscRing<std::uint64_t> ring(64);
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-      while (!ring.try_push(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    auto out = ring.try_pop();
-    if (!out.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_EQ(*out, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
-// Regression for the size() torn snapshot (PR 10): the old implementation
-// loaded tail_ first, then head_; a consumer pop landing between the two
-// loads made the unsigned subtraction underflow to ~2^64. A third observer
-// thread (the monitoring use case — neither producer nor consumer) hammers
-// size() while the SPSC pair runs flat out: every snapshot must be a
-// plausible occupancy, i.e. at most the ring's capacity. On the pre-fix
-// code this fails within a few thousand iterations; TSan additionally
-// certifies the acquire loads are race-free from the extra thread.
-TEST(SpscRing, SizeFromObserverThreadNeverUnderflows) {
-  constexpr std::uint64_t kItems = 10'000;
-  SpscRing<std::uint64_t> ring(8);  // tiny: keeps head/tail racing closely
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> bogus_sizes{0};
-  std::thread observer([&ring, &done, &bogus_sizes] {
-    while (!done.load(std::memory_order_acquire)) {
-      if (ring.size() > ring.capacity()) {
-        bogus_sizes.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-      while (!ring.try_push(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    auto out = ring.try_pop();
-    if (!out.has_value()) {
-      // Yield rather than spin: on a single-core host an empty-ring spin
-      // burns its whole timeslice, starving the producer (and the test).
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_EQ(*out, expected);
-    ++expected;
-  }
-  producer.join();
-  done.store(true, std::memory_order_release);
-  observer.join();
-  EXPECT_EQ(bogus_sizes.load(), 0u)
-      << "size() returned more than capacity: torn head/tail snapshot";
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(MpscQueue, SingleThreadFifo) {
-  MpscQueue<int> queue;
-  EXPECT_TRUE(queue.empty());
-  for (int i = 0; i < 100; ++i) queue.push(i);
-  EXPECT_FALSE(queue.empty());
-  for (int want = 0; want < 100; ++want) {
-    auto out = queue.try_pop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, want);
-  }
-  EXPECT_FALSE(queue.try_pop().has_value());
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(MpscQueue, ClearDrainsEverything) {
-  MpscQueue<int> queue;
-  for (int i = 0; i < 10; ++i) queue.push(i);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.try_pop().has_value());
-  queue.push(42);  // still usable after clear
-  auto out = queue.try_pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, 42);
-}
-
-// Four producers race while the consumer drains concurrently: every item
-// arrives exactly once, and each producer's own items stay in its push
-// order (the MPSC guarantee — no cross-producer order is promised).
-TEST(MpscQueue, ConcurrentProducersCompleteAndStayPerProducerFifo) {
-  constexpr std::uint64_t kPerProducer = 50'000;
-  constexpr std::uint64_t kProducers = 4;
-  MpscQueue<std::uint64_t> queue;
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        queue.push((p << 32) | i);  // tag: producer id | sequence
-      }
-    });
-  }
-  std::vector<std::uint64_t> next_seq(kProducers, 0);
-  std::uint64_t drained = 0;
-  while (drained < kProducers * kPerProducer) {
-    auto out = queue.try_pop();
-    if (!out.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t p = *out >> 32;
-    const std::uint64_t seq = *out & 0xffffffffull;
-    ASSERT_LT(p, kProducers);
-    ASSERT_EQ(seq, next_seq[p]) << "producer " << p << " reordered";
-    ++next_seq[p];
-    ++drained;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(queue.empty());
+// An OFC crash clears the volatile commit and reply queues; the next push
+// must wake the consumer again or the stage would sleep forever.
+TEST(NadirFifoTest, ClearDropsEverythingAndRearmsWake) {
+  NadirFifo<int> fifo;
+  int wakes = 0;
+  fifo.set_wake_callback([&] { ++wakes; });
+  for (int i = 0; i < 10; ++i) fifo.push(i);
+  fifo.clear();
+  EXPECT_TRUE(fifo.empty());
+  fifo.push(42);
+  EXPECT_EQ(wakes, 2);
+  EXPECT_EQ(fifo.pop(), 42);
 }
 
 }  // namespace

@@ -5,15 +5,15 @@
 //    unsharded mirror, and a plain-map oracle — every secondary-index query
 //    and both fingerprint forms must agree at every checkpoint;
 //  * full pipeline runs (the soak workload, chaos off so OpId streams are
-//    comparable) across nib_shards in {0, 2, 4, 8} and commit_threads in
-//    {0, 3} — final NIB fingerprints and op counts must be byte-identical
-//    to the classic single-threaded path.
+//    comparable) across nib_shards in {0, 2, 4, 8} — final NIB fingerprints
+//    and op counts must be byte-identical to the classic wiring.
 // The chaos-on case asserts only cleanliness (0 invariant violations):
 // CLEAR_TCAM recovery consumes OpIds, so cross-arm fingerprints are not
 // comparable once chaos timing differs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -176,6 +176,50 @@ TEST(ShardedNib, FoldedFingerprintIsConfigurationIndependent) {
   EXPECT_EQ(changed, 1u);
 }
 
+// Event routing: a switch-keyed event lands in its owning shard's queue
+// only, a non-switch-keyed one in shard 0's, and a subscribe() sink holds
+// each event before the shard queue's wake fires.
+TEST(ShardedNib, PublishRoutesToOwningShardQueue) {
+  constexpr std::size_t kShards = 4;
+  Nib nib;
+  nib.configure_sharding(kShards);
+  NadirFifo<NibEvent> sink;
+  nib.subscribe(&sink);
+  std::vector<NadirFifo<NibEvent>> queues(kShards);
+  std::size_t wakes = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    queues[s].set_wake_callback([&, s] {
+      ++wakes;
+      ASSERT_FALSE(sink.empty());
+      EXPECT_EQ(std::prev(sink.end())->sw, std::prev(queues[s].end())->sw);
+    });
+    nib.set_shard_queue(s, &queues[s]);
+  }
+  for (std::uint32_t sw = 0; sw < 16; ++sw) nib.register_switch(SwitchId(sw));
+
+  for (std::uint32_t sw = 0; sw < 16; ++sw) {
+    const std::size_t owner = nib.shard_of(SwitchId(sw));
+    std::vector<std::size_t> before;
+    for (const auto& q : queues) before.push_back(q.size());
+    nib.set_switch_health(SwitchId(sw), SwitchHealth::kDown);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(queues[s].size(), before[s] + (s == owner ? 1 : 0))
+          << "sw=" << sw << " shard=" << s;
+    }
+    EXPECT_EQ(std::prev(queues[owner].end())->sw, SwitchId(sw));
+  }
+  const std::size_t shard0 = queues[0].size();
+  nib.set_link_up(LinkId(3), false);
+  EXPECT_EQ(queues[0].size(), shard0 + 1);
+  EXPECT_EQ(std::prev(queues[0].end())->type,
+            NibEvent::Type::kTopologyChanged);
+
+  std::size_t routed = 0;
+  for (const auto& q : queues) routed += q.size();
+  EXPECT_EQ(sink.size(), routed);  // the tap sees each event exactly once
+  EXPECT_EQ(wakes, kShards);       // one empty -> non-empty edge per shard
+}
+
 // ---- full-pipeline equivalence -------------------------------------------
 
 std::size_t soak_ops_budget() {
@@ -192,14 +236,12 @@ struct PipelineRun {
   std::uint64_t folded_fingerprint = 0;
 };
 
-PipelineRun run_pipeline(std::size_t nib_shards, std::size_t commit_threads,
-                         bool chaos) {
+PipelineRun run_pipeline(std::size_t nib_shards, bool chaos) {
   ExperimentConfig config;
   config.seed = 23;
   config.kind = ControllerKind::kZenithNR;
   config.core.batch_size = 16;
   config.core.nib_shards = nib_shards;
-  config.core.commit_threads = commit_threads;
   config.poll_interval = millis(2);
   config.scoped_convergence = true;
 
@@ -227,10 +269,8 @@ PipelineRun run_pipeline(std::size_t nib_shards, std::size_t commit_threads,
 }
 
 TEST(ShardedPipeline, MatchesUnshardedFingerprintChaosOff) {
-  PipelineRun classic = run_pipeline(/*nib_shards=*/0, /*commit_threads=*/0,
-                                     /*chaos=*/false);
-  PipelineRun sharded = run_pipeline(/*nib_shards=*/4, /*commit_threads=*/0,
-                                     /*chaos=*/false);
+  PipelineRun classic = run_pipeline(/*nib_shards=*/0, /*chaos=*/false);
+  PipelineRun sharded = run_pipeline(/*nib_shards=*/4, /*chaos=*/false);
   ASSERT_EQ(classic.soak.invariant_violations, 0u);
   ASSERT_EQ(sharded.soak.invariant_violations, 0u);
   EXPECT_EQ(sharded.soak.ops_completed, classic.soak.ops_completed);
@@ -239,30 +279,16 @@ TEST(ShardedPipeline, MatchesUnshardedFingerprintChaosOff) {
 }
 
 TEST(ShardedPipeline, ShardCountDoesNotChangeOutcome) {
-  PipelineRun two = run_pipeline(2, 0, /*chaos=*/false);
-  PipelineRun eight = run_pipeline(8, 0, /*chaos=*/false);
+  PipelineRun two = run_pipeline(2, /*chaos=*/false);
+  PipelineRun eight = run_pipeline(8, /*chaos=*/false);
   ASSERT_EQ(two.soak.invariant_violations, 0u);
   ASSERT_EQ(eight.soak.invariant_violations, 0u);
   EXPECT_EQ(two.soak.ops_completed, eight.soak.ops_completed);
   EXPECT_EQ(two.soak.nib_fingerprint, eight.soak.nib_fingerprint);
 }
 
-// commit_threads fans the per-shard commit jobs over a real thread pool;
-// the parallel-commit section contract says the result is byte-identical
-// to the serial shard-order application. This is the case the CI TSan
-// stage re-runs with a bigger budget.
-TEST(ShardedPipeline, CommitThreadPoolIsByteIdenticalToSerial) {
-  PipelineRun serial = run_pipeline(4, /*commit_threads=*/0, /*chaos=*/false);
-  PipelineRun pooled = run_pipeline(4, /*commit_threads=*/3, /*chaos=*/false);
-  ASSERT_EQ(serial.soak.invariant_violations, 0u);
-  ASSERT_EQ(pooled.soak.invariant_violations, 0u);
-  EXPECT_EQ(pooled.soak.ops_completed, serial.soak.ops_completed);
-  EXPECT_EQ(pooled.soak.nib_fingerprint, serial.soak.nib_fingerprint);
-  EXPECT_EQ(pooled.folded_fingerprint, serial.folded_fingerprint);
-}
-
 TEST(ShardedPipeline, ChaosSoakStaysClean) {
-  PipelineRun run = run_pipeline(4, /*commit_threads=*/3, /*chaos=*/true);
+  PipelineRun run = run_pipeline(4, /*chaos=*/true);
   EXPECT_GE(run.soak.ops_completed, soak_ops_budget());
   EXPECT_EQ(run.soak.timeouts, 0u);
   EXPECT_EQ(run.soak.invariant_violations, 0u);

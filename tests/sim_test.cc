@@ -204,30 +204,6 @@ TEST(Simulator, NestedSchedulingFromCallbacks) {
   EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
 }
 
-TEST(NadirFifoTest, WakeFiresOnEmptyToNonEmptyOnly) {
-  NadirFifo<int> fifo;
-  int wakes = 0;
-  fifo.set_wake_callback([&] { ++wakes; });
-  fifo.push(1);
-  fifo.push(2);
-  EXPECT_EQ(wakes, 1);
-  (void)fifo.pop();
-  (void)fifo.pop();
-  fifo.push(3);
-  EXPECT_EQ(wakes, 2);
-}
-
-TEST(NadirFifoTest, PeekAckPopDiscipline) {
-  NadirFifo<int> fifo;
-  fifo.push(1);
-  fifo.push(2);
-  EXPECT_EQ(fifo.peek(), 1);
-  EXPECT_EQ(fifo.peek(), 1);  // peek does not consume
-  fifo.ack_pop();
-  EXPECT_EQ(fifo.peek(), 2);
-  EXPECT_EQ(fifo.size(), 1u);
-}
-
 TEST(DelayedChannelTest, DeliversAfterDelay) {
   Simulator sim;
   DelayedChannel<int> channel(&sim, Rng(1), DelayModel{millis(1), 0});
