@@ -66,13 +66,6 @@ ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -L mc
 GTEST_FILTER='ShardedFingerprintSet.*' \
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -R common_test
 
-# Consistency tier (PR 10): the adaptive-consistency suite — NIB eventual-
-# log units, the E1/E2 model-checker cells, the eventual chaos grid under
-# the lockstep oracle, and the deliberate-defect (skipped-barrier) negative
-# tests. The suite spawns no threads, so it runs in Release only.
-echo "=== [consistency] ctest -L consistency (Release) ==="
-ctest --test-dir "$repo/build-ci-release" --output-on-failure -L consistency
-
 # Wire tier: the binary codec's adversarial suite re-runs under ASan+UBSan
 # (where "rejects cleanly" means no overflow, no over-read, no giant
 # allocation — not just a non-crash), then the real daemon pair runs the
@@ -134,8 +127,6 @@ bench_smoke() {
   (cd "$scratch" && "$tree/bench/bench_soak" --quick --json)
   (cd "$scratch" && "$tree/bench/bench_wire_loopback" --quick --json)
   (cd "$scratch" && "$tree/bench/bench_tab04_mc_optimizations" --quick --json)
-  (cd "$scratch" && ZENITH_BENCH_THREADS="$jobs" \
-    "$tree/bench/bench_consistency" --quick --json)
   "$tree/src/obs/zenith_json_check" "$scratch"/BENCH_*.json \
     "$scratch/chrome_trace.json"
   echo "=== [bench-gate] diff vs committed baselines (deterministic metrics GATE, timings advisory) ==="
@@ -152,14 +143,9 @@ bench_smoke() {
     # a clean headline run are exact at any budget; state counts and
     # states/sec stay advisory (quick explores a smaller instance).
     [tab04_mc]="scaling.states_agree,scaling.diameter_agree,repl_headline.violations"
-    # PR 10 adaptive consistency: a correct build reports zero oracle
-    # violations and zero verdict-digest re-run mismatches at any budget;
-    # commit/lag tallies stay advisory (quick sweeps fewer cells and seeds).
-    [consistency]="violations_correct_build,determinism_mismatches"
   )
   local name gate
-  for name in micro_primitives chaos_coverage soak wire_loopback tab04_mc \
-      consistency; do
+  for name in micro_primitives chaos_coverage soak wire_loopback tab04_mc; do
     if [[ -f "$repo/bench/baselines/BENCH_$name.json" ]]; then
       gate="${gates[$name]:-}"
       if [[ -n "$gate" ]]; then

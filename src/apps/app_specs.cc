@@ -312,161 +312,4 @@ bool failover_completed(const nadir::Env& env,
   return true;
 }
 
-// ---- Maintenance spec ------------------------------------------------------------
-
-nadir::Spec build_maintenance_spec(const MaintenanceSpecScenario& scenario) {
-  Spec spec("MaintenanceSchedulerApp");
-
-  ValueVec requests;
-  for (int w = 0; w < scenario.windows; ++w) {
-    requests.push_back(Value::integer(w + 1));
-  }
-  auto phase_type = Type::enumeration({"IDLE", "DRAINING", "IN_SERVICE"});
-
-  spec.global("MaintRequests", Type::seq(Type::integer()),
-              Value::seq(std::move(requests)), true);
-  spec.global("Phase", phase_type, Value::string("IDLE"), true);
-  // The app's drain submissions toward the core (op ids, FIFO).
-  spec.global("CoreQueue", Type::seq(Type::integer()), Value::seq({}), true);
-  // Committed-but-unapplied eventual installs: the spec-level twin of the
-  // NIB's eventual apply log.
-  spec.global("PendingLog", Type::seq(Type::integer()), Value::seq({}), true);
-  spec.global("Committed", Type::integer(), Value::integer(0), true);
-  spec.global("Applied", Type::integer(), Value::integer(0), true);
-  spec.global("WindowsDone", Type::integer(), Value::integer(0), true);
-  spec.global("GateBarriers", Type::integer(), Value::integer(0), true);
-
-  nadir::Process app("MaintenanceApp");
-  app.local("nextOp", Type::integer(), Value::integer(100));
-  app.step(nadir::Step{
-      "AwaitRequest",
-      {"MaintRequests", "Phase", "CoreQueue"},
-      {"MaintRequests", "Phase", "CoreQueue"},
-      [scenario](StepContext& ctx) {
-        Value request = ctx.fifo_get("MaintRequests");
-        if (ctx.blocked()) return;
-        (void)request;
-        // Submit the drain DAG's reroute installs (eventual-class).
-        ValueVec queue = ctx.global("CoreQueue").as_seq();
-        std::int64_t op = ctx.local("nextOp").as_int();
-        for (int i = 0; i < scenario.installs_per_window; ++i) {
-          queue.push_back(Value::integer(op++));
-        }
-        ctx.set_global("CoreQueue", Value::seq(std::move(queue)));
-        ctx.set_local("nextOp", Value::integer(op));
-        ctx.set_global("Phase", Value::string("DRAINING"));
-        ctx.jump("Gate");
-      }});
-  app.step(nadir::Step{
-      "Gate",
-      {"CoreQueue", "PendingLog", "Applied", "GateBarriers", "Phase"},
-      {"PendingLog", "Applied", "GateBarriers", "Phase"},
-      [scenario](StepContext& ctx) {
-        // The drain is certified once the core has consumed every submission.
-        ctx.await(ctx.global("CoreQueue").size() == 0);
-        if (ctx.blocked()) return;
-        if (!scenario.bug_skip_barrier) {
-          // The window gate's strong barrier: publish every pending
-          // eventual entry before re-checking the view (E2 discipline).
-          const Value& log = ctx.global("PendingLog");
-          ctx.set_global("Applied",
-                         Value::integer(ctx.global("Applied").as_int() +
-                                        static_cast<std::int64_t>(log.size())));
-          ctx.set_global("PendingLog", Value::seq({}));
-        }
-        ctx.set_global("GateBarriers",
-                       Value::integer(ctx.global("GateBarriers").as_int() + 1));
-        ctx.set_global("Phase", Value::string("IN_SERVICE"));
-        ctx.jump("CloseWindow");
-      }});
-  app.step(nadir::Step{
-      "CloseWindow",
-      {"Phase", "WindowsDone"},
-      {"Phase", "WindowsDone"},
-      [](StepContext& ctx) {
-        ctx.set_global("WindowsDone",
-                       Value::integer(ctx.global("WindowsDone").as_int() + 1));
-        ctx.set_global("Phase", Value::string("IDLE"));
-        ctx.jump("AwaitRequest");
-      }});
-  spec.process(std::move(app));
-
-  // AbstractCore: commits one submission per step into the eventual log,
-  // draining the oldest entry inline when the E1 bound would be exceeded
-  // (the bound holds structurally, exactly like Nib::eventual_commit_batch).
-  nadir::Process core("AbstractCore");
-  core.step(nadir::Step{
-      "CoreCommit",
-      {"CoreQueue", "PendingLog", "Committed", "Applied"},
-      {"CoreQueue", "PendingLog", "Committed", "Applied"},
-      [scenario](StepContext& ctx) {
-        Value op = ctx.fifo_get("CoreQueue");
-        if (ctx.blocked()) return;
-        ValueVec log = ctx.global("PendingLog").as_seq();
-        log.push_back(std::move(op));
-        std::int64_t applied = ctx.global("Applied").as_int();
-        while (log.size() >
-               static_cast<std::size_t>(scenario.staleness_bound)) {
-          log.erase(log.begin());
-          ++applied;
-        }
-        ctx.set_global("PendingLog", Value::seq(std::move(log)));
-        ctx.set_global("Applied", Value::integer(applied));
-        ctx.set_global("Committed",
-                       Value::integer(ctx.global("Committed").as_int() + 1));
-        ctx.jump("CoreCommit");
-      }});
-  spec.process(std::move(core));
-
-  // EventualApplyPump: publishes one pending entry per step.
-  nadir::Process pump("EventualPump");
-  pump.step(nadir::Step{
-      "Apply",
-      {"PendingLog", "Applied"},
-      {"PendingLog", "Applied"},
-      [](StepContext& ctx) {
-        const Value& log = ctx.global("PendingLog");
-        ctx.await(log.size() > 0);
-        if (ctx.blocked()) return;
-        ValueVec rest = log.as_seq();
-        rest.erase(rest.begin());
-        ctx.set_global("PendingLog", Value::seq(std::move(rest)));
-        ctx.set_global("Applied",
-                       Value::integer(ctx.global("Applied").as_int() + 1));
-        ctx.jump("Apply");
-      }});
-  spec.process(std::move(pump));
-  return spec;
-}
-
-std::string check_maintenance_gate(const nadir::Env& env,
-                                   const MaintenanceSpecScenario& scenario) {
-  const Value& log = env.globals.at("PendingLog");
-  if (log.size() > static_cast<std::size_t>(scenario.staleness_bound)) {
-    return "eventual log holds " + std::to_string(log.size()) +
-           " entries, over the staleness bound (E1)";
-  }
-  std::int64_t committed = env.globals.at("Committed").as_int();
-  std::int64_t applied = env.globals.at("Applied").as_int();
-  if (applied > committed) {
-    return "apply cursor ahead of the committed prefix";
-  }
-  if (applied + static_cast<std::int64_t>(log.size()) != committed) {
-    return "eventual log out of sync with the committed/applied counters";
-  }
-  if (env.globals.at("Phase").as_string() == "IN_SERVICE" && log.size() > 0) {
-    return "maintenance window opened with " + std::to_string(log.size()) +
-           " eventual entries pending (gate barrier skipped, E2)";
-  }
-  return "";
-}
-
-bool maintenance_all_windows_done(const nadir::Env& env,
-                                  const MaintenanceSpecScenario& scenario) {
-  return env.globals.at("WindowsDone").as_int() == scenario.windows &&
-         env.globals.at("PendingLog").size() == 0 &&
-         env.globals.at("Applied").as_int() ==
-             env.globals.at("Committed").as_int();
-}
-
 }  // namespace zenith::apps

@@ -54,35 +54,4 @@ std::string check_failover_drained(const nadir::Env& env);
 bool failover_completed(const nadir::Env& env,
                         const FailoverSpecScenario& scenario);
 
-// ---- Maintenance scheduler (adaptive consistency, PR 10) ----------------------
-
-struct MaintenanceSpecScenario {
-  /// Maintenance windows processed in sequence.
-  int windows = 1;
-  /// Reroute installs each window's drain DAG submits (all eventual-class).
-  int installs_per_window = 2;
-  /// E1 bound on the eventual apply log.
-  int staleness_bound = 2;
-  /// Deliberate defect: the gate opens the window WITHOUT draining the
-  /// eventual log first. check_maintenance_gate must catch this (E2) and
-  /// stay silent with the flag off.
-  bool bug_skip_barrier = false;
-};
-
-/// MaintenanceApp process (request -> drain -> barrier gate -> window) plus
-/// an AbstractCore whose commits land in an explicit eventual log
-/// ("PendingLog") drained by an EventualPump process — the spec-level twin
-/// of Nib's eventual apply log and EventualApplyPump.
-nadir::Spec build_maintenance_spec(const MaintenanceSpecScenario& scenario);
-
-/// Safety: E1 (PendingLog never exceeds the bound; Applied never passes
-/// Committed) and E2 (a window never opens with eventual entries pending —
-/// the gate's strong barrier must have drained the log). "" when both hold.
-std::string check_maintenance_gate(const nadir::Env& env,
-                                   const MaintenanceSpecScenario& scenario);
-
-/// Progress: every window completed and the eventual log fully published.
-bool maintenance_all_windows_done(const nadir::Env& env,
-                                  const MaintenanceSpecScenario& scenario);
-
 }  // namespace zenith::apps

@@ -1,6 +1,5 @@
 #include "chaos/campaign.h"
 
-#include <algorithm>
 #include <functional>
 #include <sstream>
 
@@ -343,7 +342,6 @@ CampaignResult ChaosCampaign::replay(const to::Trace& trace,
     }
     return false;
   };
-  const bool eventual_mode = config_.core.consistency.any_eventual();
   auto quiescent = [&] {
     // Replication must settle first: follower commit indexes lag the leader
     // by a heartbeat, and declaring quiescence mid-catchup would turn that
@@ -352,10 +350,6 @@ CampaignResult ChaosCampaign::replay(const to::Trace& trace,
         repl != nullptr && !repl->settled()) {
       return false;
     }
-    // Eventual mode: the apply cursor must land (pending log drained) before
-    // the convergence comparison is meaningful — the switch tables can be
-    // ahead of the NIB view by up to the staleness bound until then.
-    if (eventual_mode && exp.nib().eventual_pending() > 0) return false;
     if (touches_dead_switch(last_dag)) {
       return exp.checker().check(std::nullopt).view_consistent;
     }
@@ -395,43 +389,6 @@ CampaignResult ChaosCampaign::replay(const to::Trace& trace,
     for (std::string& violation :
          repl->check_invariants(/*at_quiescence=*/settled.has_value())) {
       result.violations.push_back("repl: " + std::move(violation));
-    }
-  }
-
-  // Adaptive-consistency oracle (PR 10). E1 — bounded staleness: the
-  // eventual log never held more than the configured bound, and it is fully
-  // drained at quiescence. E2 — strong isolation: no strong-class (delete-
-  // bearing) commit ever landed while eventual entries were still pending;
-  // a barrier must have drained them first. Both are vacuous (all counters
-  // zero) in all-strong runs.
-  {
-    const Nib& nib = exp.nib();
-    stats.eventual_commits =
-        static_cast<std::size_t>(nib.eventual_committed());
-    stats.eventual_max_lag = static_cast<std::size_t>(nib.eventual_max_lag());
-    stats.strong_barriers =
-        static_cast<std::size_t>(nib.eventual_barrier_count());
-    const std::size_t bound =
-        std::max<std::size_t>(1, config_.core.consistency.staleness_bound);
-    if (nib.eventual_max_lag() > bound) {
-      std::ostringstream msg;
-      msg << "E1 violated: eventual read lag peaked at "
-          << nib.eventual_max_lag() << " entries, staleness bound is "
-          << bound;
-      result.violations.push_back(msg.str());
-    }
-    if (settled.has_value() && nib.eventual_pending() > 0) {
-      std::ostringstream msg;
-      msg << "E1 violated: " << nib.eventual_pending()
-          << " eventual entries still pending at quiescence";
-      result.violations.push_back(msg.str());
-    }
-    if (nib.strong_commits_with_pending() > 0) {
-      std::ostringstream msg;
-      msg << "E2 violated: " << nib.strong_commits_with_pending()
-          << " strong-class commit(s) observed eventual state (pending "
-             "entries at delete-bearing commit)";
-      result.violations.push_back(msg.str());
     }
   }
 

@@ -89,11 +89,6 @@ struct CampaignStats {
   std::size_t installs_observed = 0;
   std::size_t sim_events_executed = 0;
   SimTime quiescence_latency = 0;  // horizon end -> oracle satisfied
-  // Adaptive-consistency telemetry (PR 10); all zero in all-strong runs, so
-  // verdict_digest() — which never folds them — stays stable either way.
-  std::size_t eventual_commits = 0;   // OPs published via the eventual log
-  std::size_t eventual_max_lag = 0;   // peak pending entries (E1 evidence)
-  std::size_t strong_barriers = 0;    // forced drains before strong ops
 };
 
 struct CampaignResult {

@@ -19,10 +19,6 @@ bool CommitPump::try_step() {
   for (const auto& queue : ctx_->commit_queues) any = any || !queue->empty();
   if (!any) return false;
 
-  // Eventual mode (PR 10): install-only batches never reach the commit
-  // queues (they route to the eventual log at the monitor), so every job
-  // here carries a delete — strong-class. Drain the eventual log first.
-  if (ctx_->config.consistency.any_eventual()) ctx_->nib->strong_barrier();
   for (const auto& queue : ctx_->commit_queues) {
     while (!queue->empty()) {
       apply(queue->peek());

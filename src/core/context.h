@@ -151,17 +151,6 @@ struct CoreConfig {
   /// pump already pays for.
   SimTime monitoring_forward_service = micros(10);
   bool sharded() const { return nib_shards >= 2; }
-  /// Adaptive per-OP-class consistency (PR 10; see nib/consistency.h). The
-  /// default (all-strong) is byte-identical to the pre-knob pipeline:
-  /// nothing constructed, no barrier calls, every golden cell unchanged.
-  /// With eventual_installs, install-only ACK batches commit into the NIB's
-  /// bounded eventual apply log and become visible from the
-  /// EventualApplyPump's cursor; strong-class paths (delete release,
-  /// recovery resets, CLEAR_TCAM, takeover requeues) barrier first (E2).
-  ConsistencyConfig consistency;
-  /// Service time of one EventualApplyPump step (applies up to
-  /// consistency.apply_batch eventual entries as real NIB transactions).
-  SimTime eventual_apply_service = micros(10);
   SpecBugs bugs;
 };
 

@@ -86,13 +86,6 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
   }
   topo_handler_ = std::make_unique<TopoEventHandler>(&ctx_);
   failover_ = std::make_unique<FailoverManager>(&ctx_);
-  // Adaptive consistency (PR 10): the NIB learns the classification knob
-  // either way (all-strong keeps its eventual log permanently empty); the
-  // apply pump exists only when some class is eventual.
-  nib_.configure_consistency(config.consistency);
-  if (config.consistency.any_eventual()) {
-    eventual_pump_ = std::make_unique<EventualApplyPump>(&ctx_);
-  }
   ctx_.kick_workers = [this] { worker_pool_->kick_all(); };
   watchdog_ = std::make_unique<Watchdog>(&ctx_);
   for (Component* c : components()) watchdog_->watch(c);
@@ -110,10 +103,6 @@ void ZenithController::wire_replication() {
   // only OPs still SENT commit; stale ones are skipped (the level-triggered
   // pipeline re-drives them), and DONE duplicates are naturally idempotent.
   repl_->set_apply([this](std::size_t, const repl::LogEntry& entry) {
-    // Quorum-log entries are strong-class: in eventual mode only deletes
-    // (and mixed batches) travel through the log, and their apply must not
-    // overtake pending eventual installs it may depend on (E2).
-    if (ctx_.config.consistency.any_eventual()) nib_.strong_barrier();
     std::vector<Op> fresh;
     fresh.reserve(entry.ops.size());
     for (const Op& op : entry.ops) {
@@ -215,7 +204,6 @@ std::vector<Component*> ZenithController::components() {
   }
   out.push_back(topo_handler_.get());
   out.push_back(failover_.get());
-  if (eventual_pump_ != nullptr) out.push_back(eventual_pump_.get());
   return out;
 }
 
@@ -305,19 +293,6 @@ void ZenithController::ofc_takeover() {
 
 void ZenithController::requeue_sent_ops(
     const std::function<bool(SwitchId)>& owned, const char* reason) {
-  // Failover barriers are strong-class (E2): requeueing scans for SENT OPs,
-  // and an install whose eventual commit is still pending would read as
-  // SENT here — the requeue would flip it to SCHEDULED, re-send it, and the
-  // switch would process it a second time while the stale eventual apply is
-  // later filtered out. Draining the log first makes the scan see exactly
-  // the committed truth.
-  if (ctx_.config.consistency.any_eventual()) {
-    const std::size_t drained = nib_.strong_barrier();
-    if (drained > 0 && ctx_.observability != nullptr) {
-      ctx_.observability->event("controller", "eventual-barrier",
-                                std::string("reason=") + reason);
-    }
-  }
   // Each OP is re-enqueued exactly once, re-coalesced into per-switch
   // batches of at most batch_size so the retry traffic keeps the dispatch
   // shape of the run (ops_with_status returns ids sorted, preserving

@@ -17,7 +17,6 @@
 #include "core/commit_pump.h"
 #include "core/context.h"
 #include "core/dag_scheduler.h"
-#include "core/eventual_pump.h"
 #include "core/failover.h"
 #include "core/monitoring_server.h"
 #include "core/nib_event_handler.h"
@@ -131,9 +130,6 @@ class ZenithController {
   std::unique_ptr<CommitPump> commit_pump_;
   std::unique_ptr<TopoEventHandler> topo_handler_;
   std::unique_ptr<FailoverManager> failover_;
-  /// The eventual-log apply cursor (PR 10); null in all-strong mode. Not an
-  /// OFC component — the log it drains is NIB-resident durable state.
-  std::unique_ptr<EventualApplyPump> eventual_pump_;
   std::unique_ptr<Watchdog> watchdog_;
 };
 

@@ -89,27 +89,6 @@ bool MonitoringServer::process_reply() {
         }
         break;
       }
-      if (op.type == OpType::kInstallRule &&
-          ctx_->config.consistency.classify(op.type) == OpClass::kEventual) {
-        // Eventual-class commit (PR 10): durably recorded now, visible when
-        // the apply cursor reaches it. Takes precedence over BOTH the
-        // replicated and the sharded commit routes — the eventual log is
-        // local and leader-independent, which is exactly the availability
-        // win: an install ACK commits even while the owning repl shard has
-        // no live leader (the strong path would drop it and wait for the
-        // takeover requeue).
-        nib.eventual_commit_batch(reply.sw, {op});
-        if (ctx_->repl != nullptr) ctx_->repl->note_eventual(reply.sw, 1);
-        if (ctx_->observability != nullptr) {
-          ctx_->observability->count("eventual_commits");
-          ctx_->observability->op_stage(
-              op.id, name(), "op-ack-eventual",
-              "sw=" + std::to_string(reply.sw.value()));
-          ctx_->observability->op_closed(op.id, name(), "done-eventual");
-          ctx_->observability->batch_committed(reply.sw, 1);
-        }
-        break;
-      }
       if (ctx_->repl != nullptr && (op.type == OpType::kInstallRule ||
                                     op.type == OpType::kDeleteRule)) {
         // Replicated commit path: the ACK becomes a shard-log entry; the NIB
@@ -131,11 +110,6 @@ bool MonitoringServer::process_reply() {
         ctx_->commit_queues[shard_]->push(CommitJob{reply.sw, {op}});
         break;
       }
-      // Everything reaching the inline path in eventual mode is
-      // strong-class (installs routed to the eventual log above): deletes
-      // and CLEAR_TCAM order against installed state, so they must not
-      // observe a half-applied eventual prefix (E2).
-      if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
       bool committed = false;
       switch (op.type) {
         case OpType::kInstallRule:
@@ -186,33 +160,6 @@ bool MonitoringServer::process_reply() {
           ctx_->observability->count("orphan_acks");
         }
       }
-      bool all_install = !known.empty();
-      for (const Op& op : known) {
-        if (ctx_->config.consistency.classify(op.type) != OpClass::kEventual) {
-          all_install = false;
-          break;
-        }
-      }
-      if (all_install) {
-        // Eventual-class batch (PR 10): same precedence rule as the
-        // singleton kAck — install-only batches commit to the local
-        // eventual log, bypassing the quorum log and the commit queues.
-        // Mixed batches (any delete) stay on the strong routes below.
-        const std::size_t n = known.size();
-        if (ctx_->observability != nullptr) {
-          for (const Op& op : known) {
-            ctx_->observability->op_stage(
-                op.id, name(), "op-ack-eventual",
-                "sw=" + std::to_string(reply.sw.value()));
-            ctx_->observability->op_closed(op.id, name(), "done-eventual");
-          }
-          ctx_->observability->count("eventual_commits");
-          ctx_->observability->batch_committed(reply.sw, n);
-        }
-        nib.eventual_commit_batch(reply.sw, std::move(known));
-        if (ctx_->repl != nullptr) ctx_->repl->note_eventual(reply.sw, n);
-        break;
-      }
       if (ctx_->repl != nullptr) {
         // Same routing as the singleton kAck: the whole batch becomes one
         // log entry, committed as one NIB transaction at log-apply time.
@@ -228,9 +175,6 @@ bool MonitoringServer::process_reply() {
         }
         break;
       }
-      // Mixed (delete-bearing) batches are strong-class: drain any pending
-      // eventual installs before the transaction (E2).
-      if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
       nib.commit_ack_batch(reply.sw, known);
       if (ctx_->observability != nullptr) {
         for (const Op& op : known) {

@@ -71,19 +71,8 @@ std::size_t Sequencer::schedule_ready_ops(const Dag& dag) {
     ctx_->op_queue_for(sw).push(OpBatch{sw, std::move(b.ops)});
     b.ops.clear();
   };
-  const bool eventual_mode = ctx_->config.consistency.any_eventual();
   for (OpId id : dag.op_ids()) {
     if (nib.op_status(id) != OpStatus::kNone) continue;
-    // Strong-class release check (PR 10, E2): a DAG-ordered delete must
-    // never release against a predecessor view the eventual log has not
-    // yet published — its readiness decision is exactly the ordering the
-    // §3.3 proof needs. Drain pending eventual commits before evaluating a
-    // delete's predecessors; install readiness tolerates the bounded lag
-    // (a pending pred just stays not-DONE until the apply cursor lands).
-    if (eventual_mode && nib.op(id).type == OpType::kDeleteRule &&
-        nib.eventual_pending() > 0) {
-      nib.strong_barrier();
-    }
     bool ready = true;
     for (OpId pred : dag.predecessors(id)) {
       if (nib.op_status(pred) != OpStatus::kDone) {

@@ -189,11 +189,6 @@ bool TopoEventHandler::process_deferred_reset() {
 
 void TopoEventHandler::reset_switch_ops(SwitchId sw) {
   Nib& nib = *ctx_->nib;
-  // Recovery resets are strong-class (PR 10, E2): the scan below reads and
-  // rewrites OP statuses, and a pending eventual install for this switch
-  // would be invisibly re-armed under it. Drain the log first so the reset
-  // decides against the committed truth.
-  if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
   // The TCAM is empty (CLEAR ACKed). Everything the controller believed
   // about this switch is void: Sent/InFlight OPs died with the failure,
   // DONE OPs were wiped, FailedSwitch OPs may now be retried. OPs still in
@@ -219,9 +214,6 @@ void TopoEventHandler::reset_switch_ops(SwitchId sw) {
 void TopoEventHandler::apply_directed_diff(const SwitchReply& dump) {
   // ZENITH-DR: reconcile exactly one switch from its dumped table.
   Nib& nib = *ctx_->nib;
-  // Same strong-class rule as reset_switch_ops: the diff must compare the
-  // dump against fully-applied NIB state, not a half-published prefix.
-  if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
   SwitchId sw = dump.sw;
   std::vector<OpId> dumped;
   dumped.reserve(dump.table.size());

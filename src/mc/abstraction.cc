@@ -52,7 +52,6 @@ std::uint64_t AbstractState::digest() const {
       }
     }
   }
-  if (eventual_pending != 0) hash = fnv1a(hash, eventual_pending);
   return hash;
 }
 
@@ -114,7 +113,6 @@ AbstractState abstract_state(Experiment& exp,
       state.shards.push_back(std::move(abs));
     }
   }
-  state.eventual_pending = nib.eventual_pending();
   return state;
 }
 
@@ -223,25 +221,6 @@ std::vector<std::string> check_quiescent(Experiment& exp, DagId last_dag,
          repl->check_invariants(/*at_quiescence=*/true)) {
       violations.push_back("replication: " + std::move(violation));
     }
-  }
-
-  // (8) Adaptive consistency (PR 10): the model's quiescent states have an
-  // empty eventual log (EventualPump.Apply stays enabled until it drains),
-  // and no strong-class commit ever observed eventual state (E2 — the
-  // barrier discipline the model encodes as a pre-commit drain).
-  if (nib.eventual_pending() > 0) {
-    std::ostringstream msg;
-    msg << nib.eventual_pending()
-        << " eventual entries pending at quiescence (model: the apply "
-           "cursor drains before quiescence)";
-    violations.push_back(msg.str());
-  }
-  if (nib.strong_commits_with_pending() > 0) {
-    std::ostringstream msg;
-    msg << nib.strong_commits_with_pending()
-        << " strong-class commit(s) with eventual entries pending (model: "
-           "strong ACKs barrier before committing, E2)";
-    violations.push_back(msg.str());
   }
 
   return violations;

@@ -72,11 +72,6 @@ struct AbstractState {
   /// Empty on an unreplicated controller; folded into the digest only when
   /// populated so pre-replication digests are unchanged.
   std::vector<AbstractShard> shards;
-  /// Eventual-log occupancy (PR 10): install ACKs committed but not yet
-  /// published to readers. Zero in all-strong runs and at every quiescence
-  /// point (the lockstep oracle asserts it); folded into the digest only
-  /// when nonzero so pre-PR-10 digests are unchanged.
-  std::uint64_t eventual_pending = 0;
 
   /// FNV-1a over the canonical serialization.
   std::uint64_t digest() const;

@@ -52,6 +52,10 @@
 #include "common/executor.h"
 #include "common/fingerprint_set.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace zenith::mc {
 
 struct ParallelBfsOptions {
@@ -124,10 +128,8 @@ inline std::size_t trace_ref_index(std::int64_t ref) {
   return static_cast<std::size_t>(ref) & ((std::size_t{1} << 48) - 1);
 }
 
-}  // namespace detail
-
 template <typename Model>
-ParallelBfsResult<typename Model::Action> parallel_bfs(
+ParallelBfsResult<typename Model::Action> explore(
     const Model& model, const ParallelBfsOptions& options) {
   using State = typename Model::State;
   using Action = typename Model::Action;
@@ -361,6 +363,24 @@ ParallelBfsResult<typename Model::Action> parallel_bfs(
     }
   }
   result.seconds = elapsed();
+  return result;
+}
+
+}  // namespace detail
+
+/// Explores `model` breadth-first (see the file header).
+template <typename Model>
+ParallelBfsResult<typename Model::Action> parallel_bfs(
+    const Model& model, const ParallelBfsOptions& options) {
+  ParallelBfsResult<typename Model::Action> result =
+      detail::explore(model, options);
+  // explore() has freed the seen-set and the frontiers. glibc's dynamic
+  // mmap threshold rises as large blocks are freed, so those blocks sit on
+  // the heap, still mapped, and unmapping them would fall to whatever runs
+  // next (process exit, in the benchmark). Hand them back now.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   return result;
 }
 

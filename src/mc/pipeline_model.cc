@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/hash.h"
 
@@ -182,13 +183,6 @@ std::pair<std::uint64_t, std::uint64_t> State::fingerprint(
   put8(worker_crashes_used);
   put8(app_switched);
   put8(pending_reset);
-  // Folded only when non-empty: all-strong configurations never populate
-  // the eventual log, so their fingerprints — and the MC golden cells that
-  // record them — stay byte-identical to the pre-PR-10 serialization.
-  if (eventual_log_len > 0) {
-    put8(eventual_log_len);
-    for (int i = 0; i < eventual_log_len; ++i) put16(eventual_log[i]);
-  }
   std::span<const std::uint8_t> span(bytes.data(), len);
   return {fnv1a(span, 0xcbf29ce484222325ull),
           fnv1a(span, 0x9e3779b97f4a7c15ull)};
@@ -205,7 +199,6 @@ std::string Action::label() const {
     case Kind::kSwitchProcess: out << "AbstractSW.PerformOP(sw" << int(subject) << ")"; break;
     case Kind::kSwitchEmitAck: out << "AbstractSW.AckOP(sw" << int(subject) << ")"; break;
     case Kind::kMonitoring: out << "MonitoringServer.ProcessACK"; break;
-    case Kind::kEventualApply: out << "EventualPump.Apply"; break;
     case Kind::kTopoEvent: out << "TopoEventHandler.HealthEvent"; break;
     case Kind::kCleanupAck: out << "TopoEventHandler.CleanupACK"; break;
     case Kind::kDeferredReset: out << "TopoEventHandler.DeferredReset(sw" << int(subject) << ")"; break;
@@ -218,10 +211,29 @@ std::string Action::label() const {
 }
 
 PipelineModel::PipelineModel(ModelConfig config) : config_(std::move(config)) {
-  assert(config_.num_switches <= kMaxSwitches);
-  assert(config_.num_workers <= kMaxWorkers);
-  assert(config_.ops.size() <= kMaxOps);
-  assert(config_.batch_size >= 1);
+  // Op indices, switch ids and delete targets become bit positions in the
+  // 16-bit table/view masks; an out-of-range one would shift past the mask.
+  auto reject = [](const std::string& why) {
+    throw std::invalid_argument("PipelineModel: " + why);
+  };
+  if (config_.num_switches > kMaxSwitches) reject("num_switches > kMaxSwitches");
+  if (config_.num_workers > kMaxWorkers) reject("num_workers > kMaxWorkers");
+  if (config_.batch_size < 1) reject("batch_size must be >= 1");
+  const std::size_t n = config_.ops.size();
+  if (n > static_cast<std::size_t>(kMaxOps)) {
+    reject(std::to_string(n) + " ops exceed kMaxOps");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const ModelOp& op = config_.ops[i];
+    const std::string at = "op " + std::to_string(i) + ": ";
+    if (op.sw >= config_.num_switches) reject(at + "sw >= num_switches");
+    if (op.is_delete && op.delete_target >= n) {
+      reject(at + "delete_target names no op in the table");
+    }
+    for (std::uint8_t pred : op.preds) {
+      if (pred >= n) reject(at + "predecessor names no op in the table");
+    }
+  }
 }
 
 State PipelineModel::initial_state() const {
@@ -346,9 +358,6 @@ std::vector<Action> PipelineModel::raw_enabled(const State& s) const {
 
   // Monitoring server.
   if (s.ack_queue_len > 0) out.push_back({K::kMonitoring, 0});
-  // Eventual apply cursor (PR 10): publishes the oldest pending entry. A
-  // fair process — quiescence waits for the log to drain.
-  if (s.eventual_log_len > 0) out.push_back({K::kEventualApply, 0});
   // Topo event handler.
   if (s.topo_queue_len > 0) out.push_back({K::kTopoEvent, 0});
   if (s.cleanup_queue_len > 0) out.push_back({K::kCleanupAck, 0});
@@ -497,42 +506,6 @@ void PipelineModel::process_ack(State& s, Msg msg) const {
   } else {
     s.nib_view[op.sw] |= static_cast<std::uint16_t>(1u << msg);
   }
-}
-
-bool PipelineModel::msg_is_strong(Msg msg) const {
-  // Strong-class = anything that is not a pure install: deletes (DAG-
-  // ordered removal) and CLEAR_TCAM (recovery reset). Mirrors
-  // ConsistencyConfig::classify plus the monitoring server's all-install
-  // batch test.
-  if (is_clear_msg(msg)) return true;
-  if (is_batch_msg(msg)) {
-    std::uint16_t mask = batch_mask_of(msg);
-    for (int op = 0; op < static_cast<int>(config_.ops.size()); ++op) {
-      if ((mask & (1u << op)) && config_.ops[op].is_delete) return true;
-    }
-    return false;
-  }
-  return config_.ops[msg].is_delete;
-}
-
-void PipelineModel::apply_eventual_entry(State& s, Msg msg) const {
-  // SENT-freshness filter, same rule as Nib::apply_eventual: a recovery
-  // reset may have returned a logged OP to NONE while it waited in the
-  // eventual log; only OPs still SENT publish, the level-triggered
-  // pipeline re-drives the rest.
-  auto fresh = [&](int op) {
-    return static_cast<MOpStatus>(s.op_status[op]) == MOpStatus::kSent;
-  };
-  if (is_batch_msg(msg)) {
-    std::uint16_t mask = batch_mask_of(msg);
-    for (int op = 0; op < static_cast<int>(config_.ops.size()); ++op) {
-      if ((mask & (1u << op)) && fresh(op)) {
-        process_ack(s, static_cast<Msg>(op));
-      }
-    }
-    return;
-  }
-  if (fresh(msg)) process_ack(s, msg);
 }
 
 void PipelineModel::reset_switch_ops(State& s, int sw) const {
@@ -709,46 +682,7 @@ std::string PipelineModel::apply(State& s, const Action& a) const {
     }
     case K::kMonitoring: {
       Msg msg = queue_pop(s.ack_queue.data(), s.ack_queue_len);
-      if (config_.eventual_installs) {
-        const std::uint8_t bound = static_cast<std::uint8_t>(
-            std::max(1, config_.staleness_bound));
-        if (!msg_is_strong(msg)) {
-          // Eventual route: bound enforcement drains oldest-first at commit
-          // time (E1 structurally), then the ACK parks in the log; its OPs
-          // stay SENT until EventualPump.Apply publishes them.
-          while (s.eventual_log_len >= bound) {
-            apply_eventual_entry(
-                s, queue_pop(s.eventual_log.data(), s.eventual_log_len));
-          }
-          queue_push(s.eventual_log.data(), s.eventual_log_len, msg);
-          if (s.eventual_log_len > bound) {
-            return "E1 violated: eventual log holds " +
-                   std::to_string(int(s.eventual_log_len)) +
-                   " entries, bound is " + std::to_string(int(bound));
-          }
-          return "";
-        }
-        // Strong-class ACK: barrier — drain every pending entry before the
-        // commit so the strong transaction never observes eventual state.
-        if (s.eventual_log_len > 0) {
-          if (config_.bug_skip_barrier) {
-            int pending = s.eventual_log_len;
-            process_ack(s, msg);
-            return "E2 violated: strong-class ACK committed with " +
-                   std::to_string(pending) + " pending eventual entries";
-          }
-          while (s.eventual_log_len > 0) {
-            apply_eventual_entry(
-                s, queue_pop(s.eventual_log.data(), s.eventual_log_len));
-          }
-        }
-      }
       process_ack(s, msg);
-      return "";
-    }
-    case K::kEventualApply: {
-      apply_eventual_entry(
-          s, queue_pop(s.eventual_log.data(), s.eventual_log_len));
       return "";
     }
     case K::kTopoEvent: {

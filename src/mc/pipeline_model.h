@@ -84,21 +84,6 @@ struct ModelConfig {
   /// Which switch may fail (-1 = any).
   int failing_switch = -1;
 
-  // -- adaptive consistency (PR 10) -------------------------------------------
-  /// Mirror of ConsistencyConfig::eventual_installs: install-only ACKs land
-  /// in an eventual log at the Monitoring Server (OPs stay SENT) and a
-  /// separate EventualPump.Apply transition publishes them oldest-first to
-  /// the NIB view. Strong-class ACKs (deletes, CLEAR_TCAM) drain the log
-  /// first — the barrier whose absence is invariant E2.
-  bool eventual_installs = false;
-  /// E1 bound: the Monitoring Server drains oldest entries at commit time
-  /// so the pending log never exceeds this.
-  int staleness_bound = 2;
-  /// Deliberate defect: strong-class ACKs commit WITHOUT draining the
-  /// eventual log. Makes E2 falsifiable — the checker must produce a
-  /// counterexample with this knob on and a clean pass with it off.
-  bool bug_skip_barrier = false;
-
   // -- optimizations (§3.7) ---------------------------------------------------
   bool opt_symmetry = false;
   bool opt_compositional = false;
@@ -176,10 +161,6 @@ struct State {
   std::uint8_t topo_queue_len = 0;
   std::array<std::uint8_t, kQueueCap> cleanup_queue{};   // clear ACKs
   std::uint8_t cleanup_queue_len = 0;
-  // Eventual log (PR 10): acknowledged install messages not yet published
-  // to the NIB view. Always empty unless ModelConfig::eventual_installs.
-  std::array<Msg, kQueueCap> eventual_log{};
-  std::uint8_t eventual_log_len = 0;
   std::uint16_t nib_view[kMaxSwitches] = {};             // op bitmask
   std::uint16_t installed_once = 0;                      // op bitmask
   std::uint8_t failures_used = 0;
@@ -206,7 +187,6 @@ struct Action {
     kSwitchProcess,
     kSwitchEmitAck,
     kMonitoring,
-    kEventualApply,
     kTopoEvent,
     kCleanupAck,
     kDeferredReset,
@@ -229,6 +209,8 @@ struct Action {
 /// The model: enumerates enabled actions and applies them.
 class PipelineModel {
  public:
+  /// Throws std::invalid_argument on an op table the packed state cannot
+  /// represent (see the constructor).
   explicit PipelineModel(ModelConfig config);
 
   const ModelConfig& config() const { return config_; }
@@ -261,8 +243,6 @@ class PipelineModel {
   std::string apply_on_switch(State& s, int sw, Msg msg) const;
   void enqueue_ack(State& s, int sw, Msg msg) const;
   void process_ack(State& s, Msg msg) const;
-  bool msg_is_strong(Msg msg) const;
-  void apply_eventual_entry(State& s, Msg msg) const;
   void reset_switch_ops(State& s, int sw) const;
   void mark_batch_status(State& s, Msg msg, MOpStatus status) const;
 

@@ -22,11 +22,6 @@ struct RState {
   std::uint8_t applied = 0;     // committed prefix applied to the NIB
   std::uint8_t appends_left = 0;
   std::uint8_t kills_left = 0;
-  // Eventual stream (PR 10): submitted prefix + per-replica cursors. All
-  // zero when ReplModelConfig::max_eventual_submits == 0.
-  std::uint8_t esub = 0;
-  std::array<std::uint8_t, kMaxReplReplicas> eseen{};
-  std::uint8_t esubs_left = 0;
 };
 
 struct RAction {
@@ -36,11 +31,9 @@ struct RAction {
     kCommit,
     kKillLeader,
     kElect,
-    kEventualSubmit,
-    kEventualDeliver,
   };
   Kind kind = Kind::kAppend;
-  std::uint8_t subject = 0;  // follower / winner / cursor target, by kind
+  std::uint8_t subject = 0;  // follower / winner, by kind
 
   std::string label() const {
     switch (kind) {
@@ -54,10 +47,6 @@ struct RAction {
         return "kill-leader";
       case Kind::kElect:
         return "elect(" + std::to_string(int(subject)) + ")";
-      case Kind::kEventualSubmit:
-        return "eventual-submit";
-      case Kind::kEventualDeliver:
-        return "eventual-deliver(" + std::to_string(int(subject)) + ")";
     }
     return "?";
   }
@@ -82,37 +71,16 @@ int quorum_held(const RState& s, int replicas) {
 // Leader completeness: a serving leader's durable log contains every
 // NIB-applied entry. This is the property quorum commit + up-to-date
 // election preserves, and exactly what commit-before-quorum breaks.
-bool leader_incomplete(const RState& s) {
+bool violated(const RState& s) {
   return s.leader >= 0 && is_alive(s, s.leader) &&
          s.log[static_cast<std::size_t>(s.leader)] < s.applied;
 }
 
-/// Eventual-cursor soundness (PR 10): no replica's cursor runs ahead of the
-/// submitted prefix — a cursor past the prefix would expose entries nobody
-/// committed. Returns the offender, or -1.
-int cursor_ahead(const RState& s) {
-  for (int r = 0; r < kMaxReplReplicas; ++r) {
-    if (s.eseen[static_cast<std::size_t>(r)] > s.esub) return r;
-  }
-  return -1;
-}
-
-bool violated(const RState& s) {
-  return leader_incomplete(s) || cursor_ahead(s) >= 0;
-}
-
 std::string violation_message(const RState& s) {
   std::ostringstream msg;
-  if (leader_incomplete(s)) {
-    msg << "leader completeness violated: elected leader " << int(s.leader)
-        << " holds " << int(s.log[static_cast<std::size_t>(s.leader)])
-        << " entries but " << int(s.applied) << " are applied to the NIB";
-  } else {
-    int r = cursor_ahead(s);
-    msg << "eventual cursor violated: replica " << r << " cursor "
-        << int(s.eseen[static_cast<std::size_t>(r)])
-        << " ahead of submitted prefix " << int(s.esub);
-  }
+  msg << "leader completeness violated: elected leader " << int(s.leader)
+      << " holds " << int(s.log[static_cast<std::size_t>(s.leader)])
+      << " entries but " << int(s.applied) << " are applied to the NIB";
   return msg.str();
 }
 
@@ -124,33 +92,6 @@ template <typename Fn>
 void for_each_transition(const ReplModelConfig& config, const RState& s,
                          Fn&& fn) {
   const bool leader_up = s.leader >= 0 && is_alive(s, s.leader);
-
-  // eventual-submit: an install-only ACK joins the leader-independent
-  // stream. Deliberately NOT gated on leader_up — availability while
-  // leaderless is the property the adaptive mode buys, and the transition
-  // being enabled here is what lets the checker exercise it.
-  if (s.esubs_left > 0) {
-    RState next = s;
-    ++next.esub;
-    --next.esubs_left;
-    if (!fn(RAction{RAction::Kind::kEventualSubmit, 0}, next)) return;
-  }
-  // eventual-deliver(r): a live replica's cursor catches up to the
-  // submitted prefix (one hop's worth — the implementation's delivery sets
-  // the cursor to the prefix captured at send time).
-  for (int r = 0; r < config.replicas; ++r) {
-    std::size_t ri = static_cast<std::size_t>(r);
-    if (!is_alive(s, r) || s.eseen[ri] >= s.esub) continue;
-    RState next = s;
-    next.eseen[ri] = config.bug_eventual_over_deliver
-                         ? static_cast<std::uint8_t>(next.esub + 1)
-                         : next.esub;
-    if (!fn(RAction{RAction::Kind::kEventualDeliver,
-                    static_cast<std::uint8_t>(r)},
-            next)) {
-      return;
-    }
-  }
 
   // append: client submission reaches the serving leader's log; with the
   // bug it is applied immediately, before replication.
@@ -241,7 +182,6 @@ RState initial_state(const ReplModelConfig& config) {
       static_cast<std::uint8_t>((1u << config.replicas) - 1u);
   init.appends_left = static_cast<std::uint8_t>(config.max_appends);
   init.kills_left = static_cast<std::uint8_t>(config.max_kills);
-  init.esubs_left = static_cast<std::uint8_t>(config.max_eventual_submits);
   return init;
 }
 
@@ -254,7 +194,7 @@ struct ReplAdapter {
   State initial() const { return initial_state(*config); }
 
   std::pair<std::uint64_t, std::uint64_t> fingerprint(const State& s) const {
-    std::array<std::uint8_t, 2 * kMaxReplReplicas + 7> bytes;
+    std::array<std::uint8_t, kMaxReplReplicas + 5> bytes;
     std::size_t len = 0;
     for (int r = 0; r < config->replicas; ++r) {
       bytes[len++] = s.log[static_cast<std::size_t>(r)];
@@ -264,16 +204,6 @@ struct ReplAdapter {
     bytes[len++] = s.applied;
     bytes[len++] = s.appends_left;
     bytes[len++] = s.kills_left;
-    // Folded only when the eventual stream is configured, so the
-    // fingerprints of pre-PR-10 configurations stay byte-identical (MC
-    // golden cells).
-    if (config->max_eventual_submits > 0) {
-      bytes[len++] = s.esub;
-      bytes[len++] = s.esubs_left;
-      for (int r = 0; r < config->replicas; ++r) {
-        bytes[len++] = s.eseen[static_cast<std::size_t>(r)];
-      }
-    }
     std::span<const std::uint8_t> span(bytes.data(), len);
     return {fnv1a(span, 0xcbf29ce484222325ull),
             fnv1a(span, 0x9e3779b97f4a7c15ull)};

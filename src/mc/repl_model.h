@@ -43,19 +43,6 @@ struct ReplModelConfig {
   /// larger state space at the same bounds.
   bool stepwise_replication = false;
 
-  // -- eventual stream (PR 10) ------------------------------------------------
-  /// Leader-independent eventual-commit budget. Submissions are enabled
-  /// even with NO serving leader — the availability property adaptive
-  /// consistency buys — and per-replica cursor deliveries chase the
-  /// submitted prefix. The checked invariant: a cursor never runs ahead of
-  /// the prefix. 0 disables the stream (state space and fingerprints are
-  /// then byte-identical to the pre-PR-10 model).
-  int max_eventual_submits = 0;
-  /// Deliberate defect: a delivery advances the replica's cursor one entry
-  /// PAST the submitted prefix (the anti-entropy off-by-one). Makes the
-  /// cursor invariant falsifiable.
-  bool bug_eventual_over_deliver = false;
-
   // -- exploration knobs (PR 9) -----------------------------------------------
   /// Worker threads. 1 = serial (deterministic counterexample), 0 =
   /// default_bench_threads().

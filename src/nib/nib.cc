@@ -157,63 +157,6 @@ std::size_t Nib::commit_ack_batch(SwitchId sw, const std::vector<Op>& ops) {
   return committed;
 }
 
-std::size_t Nib::eventual_commit_batch(SwitchId sw, std::vector<Op> ops) {
-  assert(consistency_.eventual_installs &&
-         "eventual commit with the knob off");
-  for (const Op& op : ops) {
-    assert(op.type == OpType::kInstallRule &&
-           "only install-only batches are eventual-class");
-    (void)op;
-  }
-  if (ops.empty()) return 0;
-  // Bound enforcement at commit time: applying the oldest entries before
-  // the append keeps pending <= staleness_bound at every instant, so E1
-  // holds structurally rather than probabilistically.
-  const std::size_t bound = std::max<std::size_t>(1, consistency_.staleness_bound);
-  while (eventual_log_.size() >= bound) apply_eventual(1);
-  const bool was_empty = eventual_log_.empty();
-  const std::size_t recorded = ops.size();
-  eventual_log_.push_back(EventualEntry{sw, std::move(ops)});
-  ++eventual_committed_;
-  eventual_max_lag_ = std::max<std::uint64_t>(eventual_max_lag_,
-                                              eventual_log_.size());
-  if (was_empty && eventual_wake_) eventual_wake_();
-  return recorded;
-}
-
-std::size_t Nib::apply_eventual(std::size_t limit) {
-  std::size_t applied = 0;
-  while (!eventual_log_.empty() && (limit == 0 || applied < limit)) {
-    EventualEntry entry = std::move(eventual_log_.front());
-    eventual_log_.pop_front();
-    // Same freshness rule as the CommitPump and the replicated log's apply
-    // path: between the eventual commit and this apply, a takeover requeue
-    // (SENT -> SCHEDULED) or a recovery reset (-> NONE) may have re-armed
-    // an op; only ops still SENT become visible, the level-triggered
-    // pipeline re-drives the rest.
-    std::vector<Op> fresh;
-    fresh.reserve(entry.ops.size());
-    for (const Op& op : entry.ops) {
-      if (ops_.count(op.id) && op_status_.at(op.id) == OpStatus::kSent) {
-        fresh.push_back(op);
-      }
-    }
-    commit_ack_batch(entry.sw, fresh);
-    ++eventual_applied_;
-    ++applied;
-  }
-  return applied;
-}
-
-std::size_t Nib::strong_barrier() {
-  if (eventual_log_.empty()) return 0;
-  // Deliberate-defect knob: leave the log pending so the next strong-class
-  // commit trips the E2 counter — the negative test for the oracle.
-  if (consistency_.bug_skip_barrier) return 0;
-  ++eventual_barriers_;
-  return apply_eventual(0);
-}
-
 std::vector<OpId> Nib::ops_with_status(OpStatus status) const {
   const auto slot = static_cast<std::size_t>(status);
   if (by_status_.size() == 1) {
@@ -294,21 +237,12 @@ void Nib::view_add_installed(SwitchId sw, OpId op) {
 }
 
 void Nib::view_remove_installed(SwitchId sw, OpId op) {
-  // E2 accounting: removing installed state is a strong-class mutation (it
-  // orders against DAG-scheduled deletes and reconciliation); executing one
-  // while eventual entries are pending means the strong path forgot its
-  // barrier. Counting here covers every commit route — inline single-op
-  // ACKs, batched commits, the CommitPump and the replicated apply path —
-  // and is only ever non-zero on a buggy build (the oracles assert zero).
-  if (!eventual_log_.empty()) ++strong_commits_with_pending_;
   auto it = view_.find(sw);
   if (it != view_.end()) it->second.erase(op);
   ++write_count_;
 }
 
 void Nib::view_clear_switch(SwitchId sw) {
-  // CLEAR_TCAM recovery is strong-class too (same E2 rule as above).
-  if (!eventual_log_.empty()) ++strong_commits_with_pending_;
   auto it = view_.find(sw);
   if (it != view_.end()) it->second.clear();
   ++write_count_;
@@ -441,18 +375,6 @@ std::uint64_t Nib::state_fingerprint() const {
     mix(op.value());
   }
 
-  if (!eventual_log_.empty()) {
-    // Pending eventual entries are durable committed state (they survive
-    // instance failures) and must distinguish two NIBs that differ only in
-    // unapplied commits. Folded ONLY when non-empty so every all-strong
-    // digest — including the whole pre-knob golden corpus — is unchanged.
-    mix(0x45564c47u);
-    for (const EventualEntry& entry : eventual_log_) {
-      mix(entry.sw.value());
-      mix(entry.ops.size());
-      for (const Op& op : entry.ops) mix(op.id.value());
-    }
-  }
   return h;
 }
 

@@ -18,8 +18,6 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -29,7 +27,6 @@
 #include "common/ids.h"
 #include "common/result.h"
 #include "dag/dag.h"
-#include "nib/consistency.h"
 #include "nib/events.h"
 #include "sim/fifo.h"
 
@@ -123,60 +120,6 @@ class Nib {
   /// of a previous master incarnation) are skipped; returns the number
   /// committed.
   std::size_t commit_ack_batch(SwitchId sw, const std::vector<Op>& ops);
-
-  // ---- adaptive consistency (PR 10; see nib/consistency.h) ------------------
-  //
-  // With eventual_installs enabled, install-only ACK batches commit into a
-  // bounded eventual apply log instead of applying synchronously: the batch
-  // is durable immediately (it survives OFC instance failures, like the
-  // event queue), but statuses/views/events publish only when the apply
-  // cursor reaches it. All-strong (the default) never touches any of this —
-  // the log stays empty and every code path below is dead.
-
-  void configure_consistency(const ConsistencyConfig& config) {
-    consistency_ = config;
-  }
-  const ConsistencyConfig& consistency() const { return consistency_; }
-
-  /// Eventual-class commit: appends one install-only ACK batch to the
-  /// eventual apply log. If the append would push the pending count past
-  /// the staleness bound, the oldest entries are applied inline first (E1
-  /// holds structurally at every instant). Returns the number of ops
-  /// recorded.
-  std::size_t eventual_commit_batch(SwitchId sw, std::vector<Op> ops);
-
-  /// Advances the apply cursor by up to `limit` entries (0 = drain all).
-  /// Each applied entry runs the normal commit_ack_batch transaction —
-  /// status flips, view edits, one coalesced event — filtered to ops still
-  /// SENT (a takeover or recovery reset may have re-armed them since the
-  /// commit was recorded). Returns entries applied.
-  std::size_t apply_eventual(std::size_t limit = 0);
-
-  /// Strong-class barrier: drains the entire eventual log so a strong
-  /// transaction observes no pending eventual state (E2). Every strong
-  /// path calls this first — sequencer delete release, recovery resets,
-  /// CLEAR_TCAM commits, takeover requeues. Returns entries applied.
-  std::size_t strong_barrier();
-
-  /// Hook fired on every empty -> non-empty transition of the eventual log
-  /// (the EventualApplyPump's wake).
-  void set_eventual_wake(std::function<void()> wake) {
-    eventual_wake_ = std::move(wake);
-  }
-
-  // E1/E2 accounting, read by the campaign oracle and bench_consistency.
-  std::uint64_t eventual_committed() const { return eventual_committed_; }
-  std::uint64_t eventual_applied() const { return eventual_applied_; }
-  std::size_t eventual_pending() const { return eventual_log_.size(); }
-  /// High-water pending count over the run; E1 demands <= staleness_bound.
-  std::uint64_t eventual_max_lag() const { return eventual_max_lag_; }
-  std::uint64_t eventual_barrier_count() const { return eventual_barriers_; }
-  /// E2 violation counter: strong-class commit transactions (delete-bearing
-  /// batches) that executed while eventual entries were pending. A correct
-  /// build keeps this at zero — every strong path barriers first.
-  std::uint64_t strong_commits_with_pending() const {
-    return strong_commits_with_pending_;
-  }
 
   // ---- switch health -------------------------------------------------------
 
@@ -291,19 +234,6 @@ class Nib {
   std::optional<DagId> current_dag_;
   std::unordered_map<WorkerId, OpId> worker_state_;
   std::vector<EventSink> sinks_;
-  /// One committed-but-unapplied eventual-class ACK batch.
-  struct EventualEntry {
-    SwitchId sw;
-    std::vector<Op> ops;
-  };
-  ConsistencyConfig consistency_;
-  std::deque<EventualEntry> eventual_log_;
-  std::function<void()> eventual_wake_;
-  std::uint64_t eventual_committed_ = 0;
-  std::uint64_t eventual_applied_ = 0;
-  std::uint64_t eventual_max_lag_ = 0;
-  std::uint64_t eventual_barriers_ = 0;
-  std::uint64_t strong_commits_with_pending_ = 0;
   std::size_t shards_ = 1;
   /// Per-shard event queues (empty until set_shard_queue is called).
   std::vector<EventSink> shard_queues_;

@@ -39,7 +39,6 @@ Shard::Shard(Simulator* sim, const ReplConfig& config, std::size_t id)
   std::size_t n = std::max<std::size_t>(1, config_.replicas_per_shard);
   replicas_.resize(n);
   match_.assign(n, 0);
-  eventual_seen_.assign(n, 0);
   // Replica 0 starts as leader of epoch 1 with a fresh lease everywhere.
   for (Replica& r : replicas_) {
     r.epoch = 1;
@@ -105,42 +104,10 @@ void Shard::submit(SwitchId sw, std::vector<Op> ops) {
   advance_commit();  // replicas_per_shard == 1 commits on append
 }
 
-void Shard::note_eventual(std::size_t ops) {
-  eventual_submitted_ += ops;
-  counters_.eventual_submits += ops;
-  // Stream the new prefix to every replica, one hop away. Deliberately NOT
-  // gated on leader_serving(): the eventual stream is the leader-
-  // independent path — a shard mid-election still learns of eventual
-  // commits (dead/partitioned replicas skip the delivery; the per-tick
-  // anti-entropy below catches them up after heal/revive).
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    sim_->schedule(config_.replication_hop,
-                   [this, to = i, target = eventual_submitted_] {
-                     Replica& r = replicas_[to];
-                     if (!r.alive || r.partitioned) return;
-                     eventual_seen_[to] = std::max(eventual_seen_[to], target);
-                   });
-  }
-}
-
 void Shard::tick() {
   if (leader_serving() && !stalled_) {
     send_heartbeats();
     send_catchups();
-  }
-  // Eventual-stream anti-entropy (PR 10): replicas that missed deliveries
-  // while dead or partitioned chase the committed prefix one hop per tick.
-  // Free in all-strong mode (the prefix stays 0, no replica ever lags).
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const Replica& r = replicas_[i];
-    if (!r.alive || r.partitioned) continue;
-    if (eventual_seen_[i] >= eventual_submitted_) continue;
-    sim_->schedule(config_.replication_hop,
-                   [this, to = i, target = eventual_submitted_] {
-                     Replica& rep = replicas_[to];
-                     if (!rep.alive || rep.partitioned) return;
-                     eventual_seen_[to] = std::max(eventual_seen_[to], target);
-                   });
   }
   maybe_elect();
 }
@@ -533,40 +500,10 @@ std::vector<std::string> Shard::check_invariants(bool at_quiescence) const {
       }
     }
   }
-
-  // E-stream sanity (PR 10): a replica cursor never runs ahead of the
-  // committed eventual prefix, and at quiescence every live un-partitioned
-  // replica has caught up (anti-entropy has had time to drain).
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (eventual_seen_[i] > eventual_submitted_) {
-      violations.push_back(prefix + "replica r" + std::to_string(i) +
-                           " eventual cursor " +
-                           std::to_string(eventual_seen_[i]) +
-                           " ahead of submitted prefix " +
-                           std::to_string(eventual_submitted_));
-    }
-    if (at_quiescence && replicas_[i].alive && !replicas_[i].partitioned &&
-        eventual_seen_[i] < eventual_submitted_) {
-      violations.push_back(prefix + "replica r" + std::to_string(i) +
-                           " eventual cursor " +
-                           std::to_string(eventual_seen_[i]) + " lags prefix " +
-                           std::to_string(eventual_submitted_) +
-                           " at quiescence (eventual stream not drained)");
-    }
-  }
   return violations;
 }
 
 bool Shard::settled() const {
-  // Eventual-stream convergence is leader-independent: even a leaderless
-  // shard keeps streaming, so quiescence always waits for live reachable
-  // cursors to land on the submitted prefix.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i].alive && !replicas_[i].partitioned &&
-        eventual_seen_[i] < eventual_submitted_) {
-      return false;
-    }
-  }
   if (!leader_serving()) return true;
   const Replica& leader = replicas_[static_cast<std::size_t>(leader_)];
   if (leader.partitioned) return true;
@@ -615,12 +552,6 @@ std::uint64_t Shard::digest() const {
   }
   hash = fnv1a(hash, counters_.elections);
   hash = fnv1a(hash, counters_.snapshots_installed);
-  // Folded only when the eventual stream was used: all-strong runs keep the
-  // digest byte-identical to the pre-PR-10 formula (golden cells).
-  if (eventual_submitted_ > 0) {
-    hash = fnv1a(hash, eventual_submitted_);
-    for (std::uint64_t seen : eventual_seen_) hash = fnv1a(hash, seen);
-  }
   return hash;
 }
 
@@ -682,10 +613,6 @@ bool ReplicatedControlPlane::submit_ack(SwitchId sw, std::vector<Op> ops) {
   bool had_leader = shard.leader_serving();
   shard.submit(sw, std::move(ops));
   return had_leader;
-}
-
-void ReplicatedControlPlane::note_eventual(SwitchId sw, std::size_t ops) {
-  shards_.at(shard_of(sw))->note_eventual(ops);
 }
 
 void ReplicatedControlPlane::kill_shard_leader(std::size_t shard) {

@@ -104,9 +104,6 @@ struct ShardCounters {
   std::uint64_t snapshots_installed = 0;
   std::uint64_t acks_dropped_no_leader = 0;
   std::uint64_t stale_messages = 0;     // old-epoch traffic rejected
-  /// Eventual-class ops committed at the colocated OFC and streamed to the
-  /// replica set outside the quorum log (PR 10; zero in all-strong mode).
-  std::uint64_t eventual_submits = 0;
 };
 
 class ReplicatedControlPlane;
@@ -154,28 +151,6 @@ class Shard {
   /// Folds this shard's abstract state (epoch, leadership, committed-log
   /// prefix, per-replica applied indexes) into an FNV-1a digest.
   std::uint64_t digest() const;
-
-  // ---- eventual stream (PR 10; see nib/consistency.h) ----------------------
-  //
-  // Eventual-class commits bypass the quorum log entirely: they are durable
-  // in the NIB's eventual apply log at the colocated OFC, and the replica
-  // set learns of them through a leader-INDEPENDENT async stream — one
-  // replication hop per update, plus a per-tick anti-entropy pass that
-  // catches healed/revived replicas up. Each replica keeps a bounded-
-  // staleness cursor (`eventual_seen`); the invariant oracle checks the
-  // cursor is monotone, never ahead of the committed prefix, and fully
-  // converged on every live un-partitioned replica at quiescence.
-
-  /// Records `ops` eventual-class ops committed locally and streams the new
-  /// prefix to the replicas. Works with or without a live leader — that is
-  /// the availability win the knob buys.
-  void note_eventual(std::size_t ops);
-  /// The committed eventual prefix (op count) standbys chase.
-  std::uint64_t eventual_submitted() const { return eventual_submitted_; }
-  /// Replica `i`'s eventual cursor.
-  std::uint64_t eventual_seen(std::size_t i) const {
-    return eventual_seen_.at(i);
-  }
 
  private:
   friend class ReplicatedControlPlane;
@@ -232,9 +207,6 @@ class Shard {
   std::vector<LogEntry> applied_log_;
   std::vector<std::pair<std::uint64_t, int>> election_history_;
   ShardCounters counters_;
-  /// Eventual stream state (PR 10): committed prefix + per-replica cursors.
-  std::uint64_t eventual_submitted_ = 0;
-  std::vector<std::uint64_t> eventual_seen_;
 
   std::function<void(const LogEntry&)> apply_;
   std::function<void(std::uint64_t epoch, const char* reason)> on_takeover_;
@@ -281,11 +253,6 @@ class ReplicatedControlPlane {
   /// (and drops the ACK — the takeover requeue repairs the OPs) when the
   /// shard has no live leader.
   bool submit_ack(SwitchId sw, std::vector<Op> ops);
-
-  /// Eventual-class commit notification (PR 10): `ops` install ops for
-  /// `sw`'s shard committed to the local eventual log, bypassing the quorum
-  /// log. Never drops — no leader required.
-  void note_eventual(SwitchId sw, std::size_t ops);
 
   // ---- chaos injections ------------------------------------------------------
   void kill_shard_leader(std::size_t shard);

@@ -8,7 +8,6 @@
 #include "apps/drain_spec.h"
 #include "apps/failover_app.h"
 #include "apps/generated_drain_app.h"
-#include "apps/maintenance_app.h"
 #include "apps/te_app.h"
 #include "harness/experiment.h"
 #include "harness/workload.h"
@@ -326,120 +325,13 @@ TEST(FailoverAppTest, SequentialFailoversComplete) {
   EXPECT_EQ(exp.fabric().at(SwitchId(0)).controller_role(), 2);
 }
 
-TEST(MaintenanceAppTest, WindowDrainsGatesAndRestores) {
-  // The adaptive-consistency consumer end to end, in eventual mode: the
-  // drain's reroute installs publish via the eventual log, the window gate
-  // issues a strong barrier before opening, and the restore puts the
-  // switch back in service.
-  ExperimentConfig config = zenith_config(47);
-  config.core.consistency.eventual_installs = true;
-  Experiment exp(gen::figure2_diamond(), config);
-  exp.start();
-  Workload workload(&exp, 3);
-  Dag initial = workload.initial_dag_for_pairs({{SwitchId(0), SwitchId(3)}});
-  ASSERT_TRUE(exp.install_and_wait(std::move(initial), seconds(10)).has_value());
-
-  MaintenanceApp app(&exp.controller(), &exp.topology());
-  app.set_intent({{SwitchId(0), SwitchId(1), SwitchId(3)}},
-                 {workload.demands().front().flow}, workload.all_flow_ops());
-  app.request({SwitchId(1), millis(30)});
-
-  // The gate opened: B carries no rules while in service.
-  auto in_service = exp.run_until(
-      [&] { return app.in_service().has_value(); }, seconds(20));
-  ASSERT_TRUE(in_service.has_value()) << "window never opened";
-  EXPECT_EQ(exp.fabric().at(SwitchId(1)).table_size(), 0u);
-  EXPECT_GE(app.gate_barriers(), 1u);
-  EXPECT_EQ(app.gate_aborts(), 0u);
-  // The barrier published everything before the re-check (E2 discipline).
-  EXPECT_EQ(exp.nib().eventual_pending(), 0u);
-
-  auto done = exp.run_until(
-      [&] { return app.windows_completed() == 1; }, seconds(20));
-  ASSERT_TRUE(done.has_value()) << "restore never certified";
-  // B is back in service and the intent reroutes through it again.
-  auto restored = exp.run_until(
-      [&] { return exp.fabric().at(SwitchId(1)).table_size() > 0; },
-      seconds(20));
-  EXPECT_TRUE(restored.has_value());
-  EXPECT_EQ(exp.nib().strong_commits_with_pending(), 0u);
-  EXPECT_TRUE(exp.order_checker().ok());
-}
-
-TEST(MaintenanceAppTest, SequentialWindowsOverEventualLog) {
-  ExperimentConfig config = zenith_config(53);
-  config.core.consistency.eventual_installs = true;
-  config.core.consistency.staleness_bound = 4;
-  Experiment exp(gen::figure2_diamond(), config);
-  exp.start();
-  Workload workload(&exp, 9);
-  Dag initial = workload.initial_dag_for_pairs({{SwitchId(0), SwitchId(3)}});
-  ASSERT_TRUE(exp.install_and_wait(std::move(initial), seconds(10)).has_value());
-
-  MaintenanceApp app(&exp.controller(), &exp.topology());
-  app.set_intent({{SwitchId(0), SwitchId(1), SwitchId(3)}},
-                 {workload.demands().front().flow}, workload.all_flow_ops());
-  // Two windows on alternating transit switches of the diamond.
-  app.request({SwitchId(1), millis(20)});
-  app.request({SwitchId(2), millis(20)});
-  auto done = exp.run_until(
-      [&] { return app.windows_completed() + app.windows_rejected() == 2; },
-      seconds(40));
-  ASSERT_TRUE(done.has_value());
-  EXPECT_EQ(app.windows_completed(), 2u);
-  EXPECT_EQ(app.windows_rejected(), 0u);
-  EXPECT_LE(exp.nib().eventual_max_lag(), 4u);
-  EXPECT_EQ(exp.nib().strong_commits_with_pending(), 0u);
-  EXPECT_TRUE(exp.order_checker().ok());
-}
-
-TEST(MaintenanceSpecTest, IndependentVerificationAgainstAbstractCore) {
-  // Every interleaving of drain commits, eventual applies and the window
-  // gate keeps E1/E2 and completes both windows.
-  MaintenanceSpecScenario scenario;
-  scenario.windows = 2;
-  nadir::Spec spec = build_maintenance_spec(scenario);
-  mc::NadirCheckerOptions options;
-  options.invariant = [&](const nadir::Env& env) {
-    return check_maintenance_gate(env, scenario);
-  };
-  options.quiescence = [&](const nadir::Env& env) {
-    return maintenance_all_windows_done(env, scenario)
-               ? ""
-               : "maintenance windows never completed";
-  };
-  mc::NadirCheckResult result = mc::explore(spec, options);
-  EXPECT_TRUE(result.ok) << result.violation;
-  EXPECT_FALSE(result.capped);
-  EXPECT_GT(result.distinct_states, 10u);
-}
-
-TEST(MaintenanceSpecTest, SkippedGateBarrierYieldsE2Counterexample) {
-  // The deliberate defect: the gate opens the window without draining the
-  // eventual log. Some interleaving leaves entries pending at IN_SERVICE
-  // and the checker must find it (the spec-level E2 negative test).
-  MaintenanceSpecScenario scenario;
-  scenario.bug_skip_barrier = true;
-  nadir::Spec spec = build_maintenance_spec(scenario);
-  mc::NadirCheckerOptions options;
-  options.invariant = [&](const nadir::Env& env) {
-    return check_maintenance_gate(env, scenario);
-  };
-  mc::NadirCheckResult result = mc::explore(spec, options);
-  ASSERT_FALSE(result.ok);
-  EXPECT_NE(result.violation.find("E2"), std::string::npos)
-      << result.violation;
-}
-
 TEST(TeAppTest, ResplitSurvivesShardLeaderKillMidBatch) {
-  // The satellite chaos cell: a TE re-split races an unplanned shard-leader
-  // kill while its install batch is in flight, in eventual mode on a
-  // replicated control plane. The run must converge and hold the pipeline
-  // invariants plus E1/E2 at quiescence.
+  // A TE re-split races an unplanned shard-leader kill while its install
+  // batch is in flight, on a replicated control plane. The run must
+  // converge and hold the pipeline invariants at quiescence.
   Topology topo = gen::b4();
   ExperimentConfig config = zenith_config(59);
   config.core.repl.num_shards = 2;
-  config.core.consistency.eventual_installs = true;
   Experiment exp(topo, config);
   exp.start();
   TrafficModel telemetry(&exp.fabric());
@@ -471,11 +363,10 @@ TEST(TeAppTest, ResplitSurvivesShardLeaderKillMidBatch) {
       seconds(40));
   ASSERT_TRUE(repaired.has_value()) << "TE never repaired under the kill";
   // Full quiescence before the oracle: every transitional status drained,
-  // no un-acked SENT toward a healthy switch, eventual log published.
+  // no un-acked SENT toward a healthy switch.
   auto quiesced = exp.run_until(
       [&] {
         if (!exp.controller().repl()->settled()) return false;
-        if (exp.nib().eventual_pending() != 0) return false;
         if (!exp.nib().ops_with_status(OpStatus::kScheduled).empty()) {
           return false;
         }
@@ -493,17 +384,13 @@ TEST(TeAppTest, ResplitSurvivesShardLeaderKillMidBatch) {
       seconds(30));
   ASSERT_TRUE(quiesced.has_value()) << "pipeline never drained";
 
-  // P1–P8 via the model-conformance oracle, plus the E1/E2 accounting.
+  // P1–P8 and R1–R4 via the model-conformance oracle.
   mc::FaultHistory history;
   history.assume_any = true;
   std::vector<std::string> violations =
       mc::check_quiescent(exp, initial, history);
   EXPECT_TRUE(violations.empty())
       << "first violation: " << violations.front();
-  EXPECT_GT(exp.nib().eventual_committed(), 0u);
-  EXPECT_LE(exp.nib().eventual_max_lag(),
-            config.core.consistency.staleness_bound);
-  EXPECT_EQ(exp.nib().strong_commits_with_pending(), 0u);
   EXPECT_TRUE(exp.order_checker().ok());
 }
 

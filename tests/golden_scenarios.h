@@ -87,26 +87,6 @@ inline chaos::CampaignConfig repl_cell_config(chaos::TopologyKind topology,
   return config;
 }
 
-/// Adaptive-consistency cells (PR 10): the chaos_fattree4 shape with the
-/// consistency knob set explicitly. The strong cell must reproduce
-/// chaos_fattree4_s1.verdict exactly — eventual_installs=false is the
-/// default and adds no log, no pump steps and no rng draws (the
-/// default-is-byte-identical contract, pinned as its own named entry so a
-/// drift names the subsystem). The eventual cell pins the bounded-staleness
-/// publication order under the same faults.
-inline chaos::CampaignConfig consistency_cell_config(bool eventual,
-                                                     std::uint64_t seed) {
-  chaos::CampaignConfig config =
-      chaos_cell_config(chaos::TopologyKind::kFatTree, 4, seed);
-  config.core.consistency.eventual_installs = eventual;
-  if (eventual) {
-    // Slow the apply pump below the commit cadence so the pinned run
-    // actually exercises lag > 1 (the strong cell never constructs a pump).
-    config.core.eventual_apply_service = millis(1);
-  }
-  return config;
-}
-
 /// The lockstep conformance grid cell (mirrors the zenith_lockstep runner's
 /// defaults): a 3-second, 8-fault schedule sliced into 3 quiescence phases.
 /// The golden corpus pins the per-phase abstraction digests via
@@ -169,15 +149,6 @@ inline std::map<std::string, std::uint64_t> compute_fingerprints() {
       out["repl_" + std::string(cell.name) + "_s" + std::to_string(seed) +
           ".verdict"] = campaign.run().verdict_digest();
     }
-  }
-
-  // Adaptive consistency: all-strong (must equal chaos_fattree4_s1) and
-  // eventual-class installs, same faults, same seed.
-  for (bool eventual : {false, true}) {
-    chaos::ChaosCampaign campaign(consistency_cell_config(eventual, 1));
-    out[std::string("consistency_fattree4_s1_") +
-        (eventual ? "eventual" : "strong") + ".verdict"] =
-        campaign.run().verdict_digest();
   }
 
   // Lockstep conformance grid: per-phase abstraction digests pinned at the

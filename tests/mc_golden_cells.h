@@ -62,18 +62,6 @@ inline std::map<std::string, std::string> compute_mc_cells(
     config.opt_por = true;
     run_pipeline("mc/table4-sym-com-por", config);
   }
-  // Adaptive consistency (PR 10): the tiny instance with eventual-class
-  // installs. The strong cell must land on the exact numbers of
-  // mc/tiny-fine above (eventual_installs=false adds no state bytes — the
-  // default-is-byte-identical contract at the model layer); the eventual
-  // cell pins the enlarged state space with the E1/E2 invariants checked.
-  {
-    mc::ModelConfig config = mc::ModelConfig::tiny_instance();
-    config.eventual_installs = false;
-    run_pipeline("mc/consistency-tiny-strong", config);
-    config.eventual_installs = true;
-    run_pipeline("mc/consistency-tiny-eventual", config);
-  }
   {
     mc::ModelConfig config = mc::ModelConfig::transient_recovery_instance();
     config.opt_symmetry = true;
@@ -103,16 +91,6 @@ inline std::map<std::string, std::string> compute_mc_cells(
     config.max_appends = 3;
     config.max_kills = 1;
     run_repl("mc/repl-r3-a3-k1", config);
-  }
-  // PR 10: the leaderless eventual stream riding next to the quorum log —
-  // pins the cursor-delivery interleavings (the over-delivery bug knob's
-  // clean twin).
-  {
-    mc::ReplModelConfig config;
-    config.max_appends = 2;
-    config.max_kills = 1;
-    config.max_eventual_submits = 2;
-    run_repl("mc/repl-r3-a2-k1-evt2", config);
   }
   {
     mc::ReplModelConfig config;

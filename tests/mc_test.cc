@@ -4,6 +4,8 @@
 // with counterexample traces (Figure A.6 feedstock).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mc/checker.h"
 #include "mc/parallel_bfs.h"
 #include "mc/pipeline_model.h"
@@ -765,6 +767,39 @@ TEST(McInitialState, TerminalInitialStateIsQuiescenceCheckedAndCounted) {
     EXPECT_EQ(result.diameter, 0u) << "t=" << threads;
     EXPECT_EQ(result.transitions, 0u) << "t=" << threads;
   }
+}
+
+TEST(McPipelineModel, RejectsOpTablesTheStateCannotRepresent) {
+  // Op indices, switch ids and delete targets are bit positions in the
+  // model's 16-bit masks; the constructor refuses any that fall outside
+  // the table instead of shifting past the mask at exploration time.
+  auto build = [](std::vector<ModelOp> ops) {
+    ModelConfig config = ModelConfig::tiny_instance();  // 2 switches
+    config.ops = std::move(ops);
+    PipelineModel model(std::move(config));
+  };
+  auto remove = [](std::uint8_t target) {
+    ModelOp op;
+    op.is_delete = true;
+    op.delete_target = target;
+    return op;
+  };
+  ModelOp install;
+  ModelOp off_fabric;
+  off_fabric.sw = 2;
+  ModelOp dangling_pred;
+  dangling_pred.preds = {5};
+
+  // The default delete_target (0xff) names no op.
+  EXPECT_THROW(build({install, remove(ModelOp{}.delete_target)}),
+               std::invalid_argument);
+  EXPECT_THROW(build({install, remove(2)}), std::invalid_argument);
+  EXPECT_THROW(build({install, off_fabric}), std::invalid_argument);
+  EXPECT_THROW(build({install, dangling_pred}), std::invalid_argument);
+  EXPECT_THROW(build(std::vector<ModelOp>(kMaxOps + 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(build({install, remove(0)}));
+  EXPECT_NO_THROW(build(std::vector<ModelOp>(kMaxOps)));
 }
 
 }  // namespace
